@@ -26,8 +26,8 @@ use gm_leakage::{Class, TraceSource, TvlaResult};
 use gm_netlist::{GateKind, NetId, Netlist};
 use gm_obs::Report;
 use gm_sim::{
-    repair_batch_enabled, CompiledSchedule, DelayModel, LaneBinTrace, LaneEnergy, MeasurementModel,
-    PowerTrace, RepairQueue, SchedRunner, SimCore, SimGraph, LANES,
+    CompiledSchedule, DelayModel, LaneBinTrace, LaneEnergy, MeasurementModel, PowerTrace,
+    RepairQueue, SchedRunner, SimCore, SimGraph, LANES,
 };
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -289,8 +289,7 @@ impl TraceSource for SequenceSource {
                 &mut self.lane_bins,
             );
             self.lane_bins.finish_pass();
-            let batch = repair_batch_enabled();
-            if batch && div != 0 {
+            if div != 0 {
                 // Deferred repair: queue every divergent lane of this
                 // pass, then drain the batch in one hoisted span (the
                 // rerun is a pure function of the ticket, so deferral
@@ -334,30 +333,7 @@ impl TraceSource for SequenceSource {
             let mut bins = [0.0f64; 4];
             for l in 0..chunk {
                 if div >> l & 1 != 0 {
-                    if batch {
-                        bins.copy_from_slice(&self.repair_bins[l * 4..l * 4 + 4]);
-                    } else {
-                        // Legacy inline fallback (`GM_REPAIR_BATCH=0`):
-                        // rerun the lane on the scalar wheel under the
-                        // same seed, one span per lane.
-                        let _fb = self.runner.stats.fallback_ns.span();
-                        self.sim.reset(&self.bank.graph, seeds[l]);
-                        self.trace.clear();
-                        for (cycle, &share) in self.seq.iter().enumerate() {
-                            self.sim.schedule(
-                                bank_share_net(&self.bank, share),
-                                cycle as u64 * CYCLE_PS + 1_000,
-                                stim_values[cycle] >> l & 1 != 0,
-                            );
-                        }
-                        self.sim.run_until(
-                            &self.bank.graph,
-                            &self.delays,
-                            4 * CYCLE_PS,
-                            &mut self.trace,
-                        );
-                        bins.copy_from_slice(self.trace.samples());
-                    }
+                    bins.copy_from_slice(&self.repair_bins[l * 4..l * 4 + 4]);
                 } else {
                     self.lane_bins.lane_into(l, &mut bins);
                 }
@@ -554,7 +530,6 @@ impl TraceSource for PdPlacementSource {
         let Some(sched) = self.compiled.clone() else {
             return scalar_block(self, labels, fixed, random);
         };
-        let batch = repair_batch_enabled();
         let (mut nf, mut nr) = (0usize, 0usize);
         let mut start = 0usize;
         while start < labels.len() {
@@ -599,29 +574,17 @@ impl TraceSource for PdPlacementSource {
                         (nr - 1, false)
                     }
                 };
-                let e = if div >> l & 1 != 0 {
-                    if batch {
-                        // Queue the repair; the drain below overwrites
-                        // this row, so nothing is written yet.
-                        let mut sb = 0u32;
-                        for (s, &v) in stim_values.iter().enumerate() {
-                            sb |= ((v >> l & 1) as u32) << s;
-                        }
-                        self.repairs.push(seeds[l], sb, row as u32 | u32::from(is_fixed) << 31);
-                        continue;
+                if div >> l & 1 != 0 {
+                    // Queue the repair; the drain below overwrites this
+                    // row, so nothing is written yet.
+                    let mut sb = 0u32;
+                    for (s, &v) in stim_values.iter().enumerate() {
+                        sb |= ((v >> l & 1) as u32) << s;
                     }
-                    // Legacy inline fallback (`GM_REPAIR_BATCH=0`): rerun
-                    // the lane on the scalar wheel under the same seed
-                    // (bit-identical by construction), one span per lane.
-                    let _fb = self.runner.stats.fallback_ns.span();
-                    let mut shares = [false; 4];
-                    for (s, sh) in shares.iter_mut().enumerate() {
-                        *sh = stim_values[s] >> l & 1 != 0;
-                    }
-                    pd_scalar_energy(&mut self.sim, &self.gadget, &self.delays, shares, seeds[l])
-                } else {
-                    energies[l]
-                };
+                    self.repairs.push(seeds[l], sb, row as u32 | u32::from(is_fixed) << 31);
+                    continue;
+                }
+                let e = energies[l];
                 if is_fixed {
                     fixed[row] = e;
                 } else {
@@ -632,22 +595,20 @@ impl TraceSource for PdPlacementSource {
         }
         // Energies carry no label-ordered downstream RNG (no measurement
         // noise), so the whole block's repairs drain in one batch.
-        if batch {
-            let PdPlacementSource { sim, gadget, delays, runner, repairs, .. } = self;
-            repairs.drain(&mut runner.stats, |t| {
-                let mut shares = [false; 4];
-                for (s, sh) in shares.iter_mut().enumerate() {
-                    *sh = t.stim_bits >> s & 1 != 0;
-                }
-                let e = pd_scalar_energy(sim, gadget, delays, shares, t.seed);
-                let row = (t.slot & !(1 << 31)) as usize;
-                if t.slot >> 31 != 0 {
-                    fixed[row] = e;
-                } else {
-                    random[row] = e;
-                }
-            });
-        }
+        let PdPlacementSource { sim, gadget, delays, runner, repairs, .. } = self;
+        repairs.drain(&mut runner.stats, |t| {
+            let mut shares = [false; 4];
+            for (s, sh) in shares.iter_mut().enumerate() {
+                *sh = t.stim_bits >> s & 1 != 0;
+            }
+            let e = pd_scalar_energy(sim, gadget, delays, shares, t.seed);
+            let row = (t.slot & !(1 << 31)) as usize;
+            if t.slot >> 31 != 0 {
+                fixed[row] = e;
+            } else {
+                random[row] = e;
+            }
+        });
         (nf, nr)
     }
 

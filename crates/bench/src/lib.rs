@@ -25,6 +25,14 @@
 //! | SNR vs. gadget replication | `snr_replication` |
 //! | Leak-model calibration sweep | `calibrate` |
 //! | Simulation throughput probe | `speed_probe` |
+//! | Cycle-model TVLA throughput, scalar oracle vs bitsliced (`BENCH_tvla.json`) | `bench_tvla` |
+//! | Gate-level TVLA throughput, scalar wheel vs compiled schedule (`BENCH_gate.json`) | `bench_gate` |
+//! | Regression gate over the BENCH trajectories | `regress` |
+//! | Metrics JSONL / Chrome-trace schema check | `validate_metrics` |
+//!
+//! Per-layer time splits of the campaign pipelines (evaluate, power,
+//! noise, moments; sweep, jitter, repair, pack) come from the
+//! `glitchbench` package: `glitchbench --trace 1`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

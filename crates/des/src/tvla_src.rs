@@ -20,7 +20,7 @@ use crate::netlist_gen::driver::EncryptionInputs;
 use crate::netlist_gen::{build_des_core, DesCoreNetlist, DesDriverCore, SboxStyle};
 use crate::power::{CycleLaneCounters, GroupScratch, PdLeakModel, PowerModel};
 use gm_core::MaskRng;
-use gm_leakage::{moments_wide_enabled, BlockLayout, Class, TraceSource};
+use gm_leakage::{Class, TraceSource};
 use gm_netlist::bitslice::LANES;
 use gm_obs::{Counter, Report};
 use gm_sim::{CouplingModel, CouplingSink, DelayModel, MeasurementModel, PowerTrace, SimGraph};
@@ -189,22 +189,15 @@ impl TraceSource for CycleModelSource {
 /// lanes at a time through [`BitslicedDes`], and per-lane cycle records
 /// come out of one popcount reduction ([`CycleLaneCounters`]).
 ///
-/// Two tails, switched by [`gm_leakage::moments_wide_enabled`]
-/// (`GM_MOMENTS_WIDE`) at construction:
-///
-/// * **wide** (default) — the lane-major pipeline: no [`CycleRecord`]s
-///   are materialised ([`CycleLaneCounters::skip_records`]); the counters'
-///   sample-major count planes feed [`PowerModel::trace_group_into`]
-///   (group-wide energy sweep, blocked lane transpose, one bulk ziggurat
-///   noise tile) and each finished lane row lands in the row-major class
-///   tile with a single copy — lane-major from evaluator to moment
-///   state, DESIGN.md §2.13;
-/// * **scalar tail** (`GM_MOMENTS_WIDE=0`) — the pinned reference: per-lane
-///   record demux through the unchanged scalar [`PowerModel`], row-major
-///   buffers, `add_block`.
-///
-/// Both tails consume the RNG streams in the same (lane, sample) order,
-/// so they are bit-identical — asserted by the campaign tests below.
+/// Blocks run the lane-major pipeline: no [`CycleRecord`]s are
+/// materialised ([`CycleLaneCounters::skip_records`]); the counters'
+/// sample-major count planes feed [`PowerModel::trace_group_into`]
+/// (group-wide energy sweep, blocked lane transpose, one bulk ziggurat
+/// noise tile) and each finished lane row lands in the row-major class
+/// tile with a single copy — lane-major from evaluator to moment state,
+/// DESIGN.md §2.13. It consumes the RNG streams in the scalar reference's
+/// (lane, sample) order, so campaigns are bit-identical to
+/// [`CycleModelSource`] — asserted by the campaign tests below.
 pub struct BitslicedCycleSource {
     cfg: SourceConfig,
     engine: BitslicedDes,
@@ -216,10 +209,6 @@ pub struct BitslicedCycleSource {
     counters: CycleLaneCounters,
     cycles_buf: Vec<CycleRecord>,
     pts_buf: Vec<u64>,
-    /// Lane-major tail enabled (latched from [`moments_wide_enabled`] at
-    /// construction so a source stays self-consistent with the layout it
-    /// advertises; forks inherit it).
-    wide: bool,
     group_scratch: GroupScratch,
     /// ≤64-lane groups run, and how many were partial (fewer labels than
     /// lanes: the tail chunk of a block, or single-trace calls).
@@ -265,7 +254,6 @@ impl BitslicedCycleSource {
             counters: CycleLaneCounters::new(),
             cycles_buf: Vec::with_capacity(num_samples),
             pts_buf: Vec::with_capacity(LANES),
-            wide: moments_wide_enabled(),
             group_scratch: GroupScratch::new(),
             groups: Counter::new(),
             groups_partial: Counter::new(),
@@ -295,21 +283,11 @@ impl TraceSource for BitslicedCycleSource {
     fn fork(&self, stream: u64) -> Self {
         let mut forked = Self::with_stream(self.cfg.clone(), stream.wrapping_add(1));
         forked.power.pd = self.power.pd;
-        forked.wide = self.wide;
         forked
     }
 
     fn num_samples(&self) -> usize {
         self.num_samples
-    }
-
-    fn block_layout(&self) -> BlockLayout {
-        // Both tails hand back row-major tiles: the sample-major layout
-        // (and its `add_block64` fold) measured *slower* here, because
-        // the per-sample accumulator chains stop the fold from
-        // vectorising while the row-major fold's independent per-sample
-        // lanes autovectorise — see DESIGN.md §2.13.
-        BlockLayout::RowMajor
     }
 
     fn trace(&mut self, class: Class, out: &mut [f64]) {
@@ -330,40 +308,15 @@ impl TraceSource for BitslicedCycleSource {
         fixed: &mut [f64],
         random: &mut [f64],
     ) -> (usize, usize) {
-        self.counters.skip_records = self.wide;
+        self.counters.skip_records = true;
         let ns = self.num_samples;
         let (mut nf, mut nr) = (0usize, 0usize);
-        if self.wide {
-            // Lane-major tail: each finished lane trace is already a
-            // contiguous row (the group power stage finishes traces in
-            // lane-major rows), so landing it in the row-major class
-            // tile is one straight copy and the block fold streams
-            // independent per-sample accumulator chains — the layout the
-            // vectoriser can use without reassociating any reduction
-            // (DESIGN.md §2.13).
-            for chunk in labels.chunks(LANES) {
-                self.pts_buf.clear();
-                for &class in chunk {
-                    let pt = draw_pt(&self.cfg, class, &mut self.pt_rng);
-                    self.pts_buf.push(pt);
-                }
-                self.run_group();
-                self.power.trace_group_into(
-                    &mut self.counters,
-                    chunk.len(),
-                    &mut self.group_scratch,
-                    |lane, trace| {
-                        let (buf, row) = match chunk[lane] {
-                            Class::Fixed => (&mut *fixed, &mut nf),
-                            Class::Random => (&mut *random, &mut nr),
-                        };
-                        buf[*row * ns..][..ns].copy_from_slice(trace);
-                        *row += 1;
-                    },
-                );
-            }
-            return (nf, nr);
-        }
+        // Each finished lane trace is already a contiguous row (the group
+        // power stage finishes traces in lane-major rows), so landing it
+        // in the row-major class tile is one straight copy and the block
+        // fold streams independent per-sample accumulator chains — the
+        // layout the vectoriser can use without reassociating any
+        // reduction (DESIGN.md §2.13).
         for chunk in labels.chunks(LANES) {
             self.pts_buf.clear();
             for &class in chunk {
@@ -371,18 +324,19 @@ impl TraceSource for BitslicedCycleSource {
                 self.pts_buf.push(pt);
             }
             self.run_group();
-            // Demux: lane ℓ is the chunk's ℓ-th label; stream each lane's
-            // records through the scalar power model in label order.
-            for (lane, &class) in chunk.iter().enumerate() {
-                self.counters.lane_into(lane, &mut self.cycles_buf);
-                let (buf, row) = match class {
-                    Class::Fixed => (&mut *fixed, &mut nf),
-                    Class::Random => (&mut *random, &mut nr),
-                };
-                let start = *row * ns;
-                self.power.trace_into(&self.cycles_buf, &mut buf[start..start + ns]);
-                *row += 1;
-            }
+            self.power.trace_group_into(
+                &mut self.counters,
+                chunk.len(),
+                &mut self.group_scratch,
+                |lane, trace| {
+                    let (buf, row) = match chunk[lane] {
+                        Class::Fixed => (&mut *fixed, &mut nf),
+                        Class::Random => (&mut *random, &mut nr),
+                    };
+                    buf[*row * ns..][..ns].copy_from_slice(trace);
+                    *row += 1;
+                },
+            );
         }
         (nf, nr)
     }
@@ -489,13 +443,6 @@ impl TraceSource for AnyCycleSource {
         match self {
             AnyCycleSource::Scalar(s) => s.trace_block(labels, fixed, random),
             AnyCycleSource::Bitsliced(s) => s.trace_block(labels, fixed, random),
-        }
-    }
-
-    fn block_layout(&self) -> BlockLayout {
-        match self {
-            AnyCycleSource::Scalar(s) => s.block_layout(),
-            AnyCycleSource::Bitsliced(s) => s.block_layout(),
         }
     }
 
@@ -741,9 +688,9 @@ mod tests {
 
     /// Fig. 14 golden check: the full *parallel* campaign pipeline
     /// (persistent worker pool, per-worker source forks, blocked moment
-    /// merge) reports the same `max|t1|` on both backends to 1e-9 —
-    /// the acceptance criterion `bench_tvla` asserts on every run,
-    /// pinned here at test size.
+    /// merge) reports the same `max|t1|` and `max|t2|` on both backends
+    /// to 1e-9 — the acceptance criterion `bench_tvla` asserts on every
+    /// run, pinned here at test size.
     #[test]
     fn fig14_parallel_max_t1_matches_scalar_golden() {
         let cfg = SourceConfig::new(CoreVariant::Ff);
@@ -756,62 +703,12 @@ mod tests {
             scalar.max_abs_t1(),
             bitsliced.max_abs_t1()
         );
-    }
-
-    /// The lane-major tail (`GM_MOMENTS_WIDE=1`, the default) must be
-    /// *bit-identical* to the pinned scalar tail (`=0`) over whole
-    /// sequential campaigns — partial tail groups included — for both
-    /// cores. This is the contract that lets the runtime knob exist at
-    /// all: flipping it never changes a single t-value bit.
-    #[test]
-    fn wide_moments_campaign_bit_identical_to_scalar_tail() {
-        use gm_leakage::set_moments_wide;
-        for variant in [CoreVariant::Ff, CoreVariant::Pd { unit_luts: 10 }] {
-            let cfg = SourceConfig::new(variant);
-            let campaign = Campaign::sequential(700, 9);
-            set_moments_wide(false);
-            let narrow_src = BitslicedCycleSource::new(cfg.clone());
-            assert_eq!(narrow_src.block_layout(), gm_leakage::BlockLayout::RowMajor);
-            let narrow = campaign.run(&narrow_src);
-            set_moments_wide(true);
-            let wide_src = BitslicedCycleSource::new(cfg);
-            assert_eq!(wide_src.block_layout(), gm_leakage::BlockLayout::RowMajor);
-            let wide = campaign.run(&wide_src);
-            assert_eq!(narrow.fixed.count(), wide.fixed.count());
-            assert_eq!(narrow.t1(), wide.t1(), "{variant:?} t1");
-            assert_eq!(narrow.t2(), wide.t2(), "{variant:?} t2");
-            assert_eq!(narrow.t3(), wide.t3(), "{variant:?} t3");
-        }
-        set_moments_wide(true);
-    }
-
-    /// Fig. 14-shaped campaign agreement under both `GM_MOMENTS_WIDE`
-    /// settings, through the full parallel pipeline, against the scalar
-    /// reference backend — the 1e-9 criterion of the bench gate, pinned
-    /// at test size for both knob positions.
-    #[test]
-    fn fig14_parallel_agreement_under_both_moment_kernels() {
-        use gm_leakage::set_moments_wide;
-        let cfg = SourceConfig::new(CoreVariant::Ff);
-        let campaign = Campaign { traces: 2_000, threads: 4, seed: 33 };
-        let scalar = campaign.run(&AnyCycleSource::new(cfg.clone(), true));
-        for wide in [false, true] {
-            set_moments_wide(wide);
-            let r = campaign.run(&AnyCycleSource::new(cfg.clone(), false));
-            assert!(
-                (scalar.max_abs_t1() - r.max_abs_t1()).abs() < 1e-9,
-                "wide={wide}: max|t1| {} vs scalar {}",
-                r.max_abs_t1(),
-                scalar.max_abs_t1()
-            );
-            assert!(
-                (scalar.max_abs_t(2) - r.max_abs_t(2)).abs() < 1e-9,
-                "wide={wide}: max|t2| {} vs scalar {}",
-                r.max_abs_t(2),
-                scalar.max_abs_t(2)
-            );
-        }
-        set_moments_wide(true);
+        assert!(
+            (scalar.max_abs_t(2) - bitsliced.max_abs_t(2)).abs() < 1e-9,
+            "fig14 max|t2| differs: scalar {} vs bitsliced {}",
+            scalar.max_abs_t(2),
+            bitsliced.max_abs_t(2)
+        );
     }
 
     /// The PD leak override propagates through forks identically on both

@@ -40,7 +40,7 @@ pub mod tvla;
 pub use chi2::Chi2;
 pub use cpa::Cpa;
 pub use detect::{first_detection, leaks, THRESHOLD};
-pub use moments::{moments_wide_enabled, set_moments_wide, BlockScratch, TraceMoments};
+pub use moments::{BlockScratch, TraceMoments};
 pub use snr::Snr;
 pub use trace_io::TraceSet;
 pub use ttest::{t_first_order, t_second_order, t_third_order};

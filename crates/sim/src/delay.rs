@@ -14,7 +14,6 @@
 use gm_netlist::{GateId, Netlist};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Default inertial pulse-rejection width: pulses narrower than this are
 /// annihilated rather than propagated. Physically the gate's output
@@ -159,9 +158,10 @@ impl DelayModel {
     /// **Bit-identical** by construction: every arithmetic step either
     /// is the scalar op itself or provably computes the same value (see
     /// the stage comments). The work is split into flat stages over the
-    /// tile so the hash and float pipelines autovectorize under the
-    /// repo's x86-64-v3 baseline — the scalar chain's ~15-cycle serial
-    /// tail is the hottest per-event cost in a glitch campaign.
+    /// tile so the hash and float pipelines autovectorize at whatever
+    /// feature level the build targets (`.cargo/config.toml` builds for
+    /// the host CPU) — the scalar chain's ~15-cycle serial tail is the
+    /// hottest per-event cost in a glitch campaign.
     pub fn sample_event_tile(&self, gate: GateId, n: usize, tile: &mut JitterTile) {
         debug_assert!(n <= TILE);
         let gi = gate.index();
@@ -238,48 +238,7 @@ impl DelayModel {
             tile.d[j] = (base + q * sigma).max(1.0) as i64 as u64;
         }
     }
-
-    /// Batched [`DelayModel::sample_event_ps`] over one trace salt and
-    /// up to 8 distinct `(gate, ordinal)` keys — the dynamic engine's
-    /// burst draw when one popped event toggles several fan-out gates.
-    /// Elements past `n` are untouched. Bit-identical to the scalar
-    /// sampler, per key (same stage arithmetic as
-    /// [`DelayModel::sample_event_tile`]).
-    pub fn sample_event_ps_x8(
-        &self,
-        salt: u64,
-        gates: &[u32; WIDE],
-        ords: &[u32; WIDE],
-        n: usize,
-        out: &mut [u64; WIDE],
-    ) {
-        debug_assert!(n <= WIDE);
-        if self.jitter_sigma_ps <= 0.0 {
-            for i in 0..n {
-                out[i] = self.base_fixed_ps[gates[i] as usize];
-            }
-            return;
-        }
-        let mut h8 = [0u64; WIDE];
-        for i in 0..WIDE {
-            let idx =
-                ((gates[i] as u64) << 32 | ords[i] as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let mut z = salt ^ idx;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            h8[i] = z ^ (z >> 31);
-        }
-        let sigma = self.jitter_sigma_ps;
-        for i in 0..n {
-            let q = quantized_gaussian(h8[i]);
-            out[i] = (self.base_ps[gates[i] as usize] + q * sigma).max(1.0) as u64;
-        }
-    }
 }
-
-/// Lane width of the dynamic engine's burst draw
-/// ([`DelayModel::sample_event_ps_x8`]).
-pub const WIDE: usize = 8;
 
 /// Tile width of the staged batch sampler
 /// ([`DelayModel::sample_event_tile`]): one draw per sweep lane.
@@ -319,69 +278,11 @@ impl JitterTile {
     }
 }
 
-/// Runtime switch for the batched jitter path. Three states so the env
-/// var is read once, lazily: 0 = undecided, 1 = wide, 2 = scalar.
-static WIDE_JITTER: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the batched (8-wide) jitter path is active. Decided once from
-/// `GM_JITTER_WIDE` (`0`/`off` forces the scalar fallback, `1`/`on`
-/// forces wide) or, unset, from runtime CPU detection: on x86-64 the
-/// wide path wants AVX2 (the repo builds at x86-64-v3, but a generic
-/// build on an older machine should keep the scalar loop); elsewhere the
-/// portable wide code is enabled — it is never incorrect, only possibly
-/// not faster. Both paths draw bit-identical samples, so this gate is a
-/// performance choice, never a correctness one.
-pub fn wide_jitter_enabled() -> bool {
-    match WIDE_JITTER.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = match std::env::var("GM_JITTER_WIDE") {
-                Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => false,
-                Ok(v) if v == "1" || v.eq_ignore_ascii_case("on") => true,
-                _ => detect_wide_default(),
-            };
-            WIDE_JITTER.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detect_wide_default() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect_wide_default() -> bool {
-    true
-}
-
-/// Force the batched jitter path on or off, overriding the env/CPU
-/// default (benchmarks A/B the two paths in-process; the CI scalar
-/// smoke pins the fallback). Takes effect for subsequent passes.
-pub fn set_wide_jitter(enabled: bool) {
-    WIDE_JITTER.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}
-
 /// Mix `(salt, gate, ordinal)` into one uniform 64-bit word
 /// (splitmix64 finalizer over a golden-ratio index stride).
 #[inline]
 pub(crate) fn event_hash(salt: u64, gate: u32, ordinal: u32) -> u64 {
-    splitmix(salt ^ event_index(gate, ordinal))
-}
-
-/// The golden-ratio index stride of [`event_hash`], shared with the
-/// wide variants so per-`(gate, ordinal)` work is hoisted out of lane
-/// loops.
-#[inline]
-fn event_index(gate: u32, ordinal: u32) -> u64 {
-    ((gate as u64) << 32 | ordinal as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// splitmix64 finalizer (the mixing tail of [`event_hash`]).
-#[inline]
-fn splitmix(mut z: u64) -> u64 {
+    let mut z = salt ^ ((gate as u64) << 32 | ordinal as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -707,40 +608,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The burst variant (one salt, 8 distinct keys) must also match the
-    /// scalar sampler bit-for-bit, including short bursts.
-    #[test]
-    fn sample_event_ps_x8_matches_scalar_sampler() {
-        let n = tiny();
-        for sigma in [400.0, 0.0] {
-            let m = DelayModel::with_variation(&n, 0.85, sigma, 7);
-            for (salt, start) in [(0xdead_beef_u64, 0u32), (42, 1000)] {
-                let gates = [0u32, 1, 0, 1, 0, 1, 0, 1];
-                let ords: [u32; WIDE] = std::array::from_fn(|i| start + i as u32);
-                for nb in [3usize, WIDE] {
-                    let mut out = [0u64; WIDE];
-                    m.sample_event_ps_x8(salt, &gates, &ords, nb, &mut out);
-                    for i in 0..nb {
-                        assert_eq!(
-                            out[i],
-                            m.sample_event_ps(GateId(gates[i]), salt, ords[i]),
-                            "sigma {sigma} burst {nb} elem {i}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The runtime gate honors programmatic override in both directions.
-    #[test]
-    fn wide_jitter_gate_overrides() {
-        set_wide_jitter(false);
-        assert!(!wide_jitter_enabled());
-        set_wide_jitter(true);
-        assert!(wide_jitter_enabled());
     }
 
     /// The quantized inverse-CDF sampler must reproduce normal moments

@@ -30,13 +30,15 @@
 //! * [`Simulator`] — a thin convenience wrapper binding a graph, a
 //!   [`DelayModel`] and a core, keeping the original borrow-style API.
 
-use crate::delay::{wide_jitter_enabled, DelayModel, WIDE};
+use crate::delay::DelayModel;
 use crate::power::NullSink;
 use crate::wheel::{TimingWheel, WheelStats};
 use gm_netlist::netlist::Driver;
 use gm_netlist::{Csr, GateId, GateKind, NetId, Netlist};
 use gm_obs::{Counter, Report};
+#[cfg(test)]
 use std::cmp::Reverse;
+#[cfg(test)]
 use std::collections::BinaryHeap;
 
 /// Upper bound on combinational/sequential fan-in (Mux2 and configured
@@ -83,6 +85,7 @@ struct Pending {
 /// original `BinaryHeap` engine. `seq` is unique per event, so the
 /// derived `(time, seq, ..)` order *is* the `(time, seq)` order the
 /// wheel uses — the property tests lean on this.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
     time: u64,
@@ -92,17 +95,18 @@ struct Event {
     version: u32,
 }
 
-/// The pending-event queue: timing wheel by default, with the original
-/// binary heap kept as a differential-testing reference.
+/// The pending-event queue: the timing wheel, plus (in unit tests only)
+/// the original binary heap as a differential-testing reference.
 //
 // One Queue exists per SimCore (never stored in arrays), so the size
 // gap between the inline wheel and the reference heap wastes nothing;
 // boxing the wheel would add an indirection to every push/pop on the
 // hot event path instead.
-#[allow(clippy::large_enum_variant)]
+#[cfg_attr(test, allow(clippy::large_enum_variant))]
 #[derive(Debug)]
 enum Queue {
     Wheel(TimingWheel<Pending>),
+    #[cfg(test)]
     Heap(BinaryHeap<Reverse<Event>>),
 }
 
@@ -111,6 +115,7 @@ impl Queue {
     fn push(&mut self, time: u64, seq: u64, p: Pending) {
         match self {
             Queue::Wheel(w) => w.push(time, seq, p),
+            #[cfg(test)]
             Queue::Heap(h) => h.push(Reverse(Event {
                 time,
                 seq,
@@ -121,10 +126,11 @@ impl Queue {
         }
     }
 
-    #[inline]
+    #[cfg(test)]
     fn peek_time(&mut self) -> Option<u64> {
         match self {
             Queue::Wheel(w) => w.peek_time(),
+            #[cfg(test)]
             Queue::Heap(h) => h.peek().map(|Reverse(e)| e.time),
         }
     }
@@ -133,6 +139,7 @@ impl Queue {
     fn pop(&mut self) -> Option<(u64, Pending)> {
         match self {
             Queue::Wheel(w) => w.pop().map(|(t, _, p)| (t, p)),
+            #[cfg(test)]
             Queue::Heap(h) => h.pop().map(|Reverse(e)| {
                 (e.time, Pending { net: e.net.0, value: e.value, version: e.version })
             }),
@@ -146,6 +153,7 @@ impl Queue {
     fn pop_at_most(&mut self, t_max: u64) -> Option<(u64, Pending)> {
         match self {
             Queue::Wheel(w) => w.pop_at_most(t_max).map(|(t, _, p)| (t, p)),
+            #[cfg(test)]
             Queue::Heap(h) => {
                 if h.peek().is_none_or(|Reverse(e)| e.time > t_max) {
                     return None;
@@ -160,6 +168,7 @@ impl Queue {
     fn clear(&mut self) {
         match self {
             Queue::Wheel(w) => w.clear(),
+            #[cfg(test)]
             Queue::Heap(h) => h.clear(),
         }
     }
@@ -409,11 +418,8 @@ pub struct SimStats {
     /// Applied transitions on externally driven nets (primary inputs,
     /// FF outputs injected by clocked harnesses).
     pub input_transitions: Counter,
-    /// Jitter draws taken through the 8-wide burst sampler
-    /// ([`DelayModel::sample_event_ps_x8`]).
-    pub jitter_batched: Counter,
-    /// Jitter draws taken through the scalar sampler (wide path off,
-    /// single-consumer fan-out, or jitter-free model).
+    /// Per-event delay draws ([`DelayModel::sample_event_ps`]), one per
+    /// toggling fan-out evaluation.
     pub jitter_scalar: Counter,
 }
 
@@ -440,7 +446,6 @@ impl SimStats {
         r.set_nonzero(&format!("{prefix}.external"), self.external.get());
         r.set_nonzero(&format!("{prefix}.resets"), self.resets.get());
         r.set_nonzero(&format!("{prefix}.toggle.input"), self.input_transitions.get());
-        r.set_nonzero(&format!("{prefix}.jitter.batched"), self.jitter_batched.get());
         r.set_nonzero(&format!("{prefix}.jitter.scalar"), self.jitter_scalar.get());
         for (name, c) in GateKind::CLASS_NAMES.iter().zip(self.kind_transitions.iter()) {
             r.set_nonzero(&format!("{prefix}.toggle.{name}"), c.get());
@@ -480,8 +485,8 @@ impl SimCore {
     /// wheel is in use, queue counters under `<prefix>.wheel.*`.
     pub fn obs_report(&self, prefix: &str, r: &mut Report) {
         self.stats.report_into(prefix, r);
-        if let Queue::Wheel(w) = &self.queue {
-            w.stats().report_into(&format!("{prefix}.wheel"), r);
+        if let Some(w) = self.wheel_stats() {
+            w.report_into(&format!("{prefix}.wheel"), r);
         }
     }
 
@@ -489,14 +494,15 @@ impl SimCore {
     pub fn wheel_stats(&self) -> Option<&WheelStats> {
         match &self.queue {
             Queue::Wheel(w) => Some(w.stats()),
+            #[cfg(test)]
             Queue::Heap(_) => None,
         }
     }
 
     /// Swap the timing wheel for the original `BinaryHeap`. Differential
     /// testing only; must be called while the queue is empty.
-    #[doc(hidden)]
-    pub fn use_reference_heap_queue(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn use_reference_heap_queue(&mut self) {
         assert!(self.queue.peek_time().is_none(), "queue must be empty to swap");
         self.queue = Queue::Heap(BinaryHeap::new());
     }
@@ -709,17 +715,6 @@ impl SimCore {
         sink.transition(time, NetId(p.net), p.value, self.weights[ni]);
 
         // Re-evaluate combinational fan-out; schedule changed outputs.
-        // Multi-consumer deliveries under jitter take the burst variant,
-        // which draws all the toggling gates' delays through the 8-wide
-        // sampler; the in-loop scalar draw survives as the exact
-        // fallback (both orderings of the same bit-identical draws).
-        if graph.consumers.row(ni).len() >= 2
-            && delays.jitter_sigma_ps() > 0.0
-            && wide_jitter_enabled()
-        {
-            self.apply_fanout_burst(graph, delays, time, ni);
-            return;
-        }
         for &gi_u in graph.consumers.row(ni) {
             let gi = gi_u as usize;
             let mut idx = 0usize;
@@ -738,63 +733,8 @@ impl SimCore {
         }
     }
 
-    /// Burst form of the consumer loop in [`SimCore::apply`]: phase 1
-    /// evaluates the fan-out gates and collects the toggling ones with
-    /// their ordinals, phase 2 draws the whole chunk through
-    /// [`DelayModel::sample_event_ps_x8`], phase 3 replays the exact
-    /// scalar scheduling per gate. Chunks keep the consumer order, and
-    /// phase 3 runs in that order, so queue contents — time, seq,
-    /// version — are bit-identical to the scalar loop's.
-    fn apply_fanout_burst(&mut self, graph: &SimGraph, delays: &DelayModel, time: u64, ni: usize) {
-        let row = graph.consumers.row(ni);
-        let mut gates = [0u32; WIDE];
-        let mut ords = [0u32; WIDE];
-        let mut vals = [false; WIDE];
-        let mut ds = [0u64; WIDE];
-        let mut pos = 0usize;
-        while pos < row.len() {
-            let mut nb = 0usize;
-            while pos < row.len() && nb < WIDE {
-                let gi_u = row[pos];
-                pos += 1;
-                // The consumer table carries one entry per connected
-                // pin, so a gate fed twice by `ni` appears twice. The
-                // scalar loop's second visit sees `out_sched` already
-                // updated and drops out; here that update is deferred
-                // to phase 3, so the duplicate is skipped explicitly.
-                if (0..nb).any(|j| gates[j] == gi_u) {
-                    continue;
-                }
-                let gi = gi_u as usize;
-                let mut idx = 0usize;
-                for (k, &pn) in graph.pins.row(gi).iter().enumerate() {
-                    idx |= usize::from(self.values[pn as usize]) << k;
-                }
-                let out = graph.truth[gi] >> idx & 1 != 0;
-                if out != self.out_sched[gi] {
-                    self.touch_gate(gi);
-                    gates[nb] = gi_u;
-                    ords[nb] = self.ev_ord[gi];
-                    vals[nb] = out;
-                    self.ev_ord[gi] += 1;
-                    nb += 1;
-                }
-            }
-            if nb == 0 {
-                continue;
-            }
-            delays.sample_event_ps_x8(self.salt, &gates, &ords, nb, &mut ds);
-            self.stats.jitter_batched.add(nb as u64);
-            for j in 0..nb {
-                self.schedule_output(graph, delays, time, gates[j], vals[j], ds[j]);
-            }
-        }
-    }
-
     /// Schedule one gate's output change at `time + d` — transport
     /// ordering, inertial annihilation, version bump and queue push.
-    /// The tail both the scalar consumer loop and the burst variant
-    /// funnel into.
     #[inline]
     fn schedule_output(
         &mut self,
@@ -921,8 +861,8 @@ impl<'a> Simulator<'a> {
     }
 
     /// Swap in the reference heap queue (differential testing only).
-    #[doc(hidden)]
-    pub fn use_reference_heap_queue(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn use_reference_heap_queue(&mut self) {
         self.core.use_reference_heap_queue();
     }
 
@@ -1213,58 +1153,6 @@ mod tests {
         assert_eq!(got, want, "reset must reproduce the fresh stream");
     }
 
-    /// The burst consumer loop (wide jitter path) must reproduce the
-    /// scalar loop's transition stream exactly — same nets, times and
-    /// order — on a fan-out-heavy netlist with annihilation-width
-    /// jitter. Toggling the global gate is benign for concurrently
-    /// running tests precisely because the two paths are bit-identical.
-    #[test]
-    fn burst_fanout_matches_scalar() {
-        use crate::delay::set_wide_jitter;
-        let mut n = Netlist::new("t");
-        let a = n.input("a");
-        let b = n.input("b");
-        // One net (a) fans out to many consumers so bursts exceed one
-        // chunk; xor tree keeps everything toggling.
-        let mut accs = Vec::new();
-        for k in 0..10 {
-            let p = if k % 2 == 0 { n.and2(a, b) } else { n.or2(a, b) };
-            accs.push(n.xor2(p, a));
-        }
-        let mut acc = accs[0];
-        for &x in &accs[1..] {
-            acc = n.xor2(acc, x);
-        }
-        n.output("o", acc);
-        n.validate().unwrap();
-        let delays = DelayModel::with_variation(&n, 0.6, 300.0, 0x77);
-
-        let record = |wide: bool, seed: u64| {
-            set_wide_jitter(wide);
-            let mut rec: Vec<(u64, u32, bool)> = Vec::new();
-            struct R<'v>(&'v mut Vec<(u64, u32, bool)>);
-            impl PowerSink for R<'_> {
-                fn transition(&mut self, t: u64, net: NetId, v: bool, _w: f64) {
-                    self.0.push((t, net.0, v));
-                }
-            }
-            let mut sim = Simulator::new(&n, &delays, seed);
-            sim.init_all_zero();
-            sim.schedule(a, 1_000, true);
-            sim.schedule(b, 1_100, true);
-            sim.schedule(a, 9_000, false);
-            sim.run_until(200_000, &mut R(&mut rec));
-            set_wide_jitter(true);
-            rec
-        };
-        for seed in 0..16u64 {
-            let wide = record(true, seed);
-            let scalar = record(false, seed);
-            assert_eq!(wide, scalar, "seed {seed}: burst and scalar streams must be identical");
-            assert!(wide.len() > 6, "seed {seed}: fan-out must actually glitch");
-        }
-    }
-
     /// The engine counters reconcile: every popped event is applied,
     /// redundant, or stale, and the per-class census sums to the applied
     /// transitions.
@@ -1326,5 +1214,129 @@ mod tests {
         assert_eq!(s1.run_counting(100_000), s2.run_counting(100_000));
         assert_eq!(s1.value(inv), s2.value(inv));
         assert_eq!(s1.time(), s2.time());
+    }
+
+    /// Property tests over random logic cones: the wheel-backed core
+    /// against the reference `BinaryHeap` queue (which exists only in
+    /// unit-test builds), and a recycled core against a fresh one.
+    mod cone_prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Records every applied transition exactly (weight compared by bits).
+        #[derive(Default)]
+        struct RecordingSink(Vec<(u64, u32, bool, u64)>);
+
+        impl PowerSink for RecordingSink {
+            fn transition(&mut self, time_ps: u64, net: NetId, new_value: bool, weight: f64) {
+                self.0.push((time_ps, net.0, new_value, weight.to_bits()));
+            }
+        }
+
+        /// Build a random combinational cone over 4 primary inputs: each gate
+        /// draws its operands from any earlier net, so the graph is acyclic by
+        /// construction and fans out freely (reconvergence included).
+        fn random_cone(gates: &[(u8, u8, u8)]) -> (Netlist, [NetId; 4]) {
+            let mut n = Netlist::new("cone");
+            let inputs = [n.input("i0"), n.input("i1"), n.input("i2"), n.input("i3")];
+            let mut nets: Vec<NetId> = inputs.to_vec();
+            for &(kind, a, b) in gates {
+                let x = nets[a as usize % nets.len()];
+                let y = nets[b as usize % nets.len()];
+                let out = match kind % 8 {
+                    0 => n.and2(x, y),
+                    1 => n.or2(x, y),
+                    2 => n.xor2(x, y),
+                    3 => n.nand2(x, y),
+                    4 => n.nor2(x, y),
+                    5 => n.xnor2(x, y),
+                    6 => n.inv(x),
+                    _ => n.buf(x),
+                };
+                nets.push(out);
+            }
+            let z = *nets.last().expect("at least the inputs");
+            n.output("z", z);
+            n.validate().expect("random cone validates");
+            (n, inputs)
+        }
+
+        /// Schedule the stimulus list on `sim` (input index, time, value).
+        fn apply_stimuli(sim: &mut Simulator<'_>, inputs: &[NetId; 4], stims: &[(u8, u64, bool)]) {
+            for &(i, t, v) in stims {
+                sim.schedule(inputs[i as usize % 4], t, v);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The wheel-backed simulator and the reference heap-backed one emit
+            /// identical transition streams (time, net, value, weight) on random
+            /// cones with jittered delays — pulse rejection and tie-breaking
+            /// included.
+            #[test]
+            fn wheel_sim_matches_heap_sim(
+                gates in prop::collection::vec((0u8..8, 0u8..32, 0u8..32), 3..24),
+                stims in prop::collection::vec((0u8..4, 0u64..60_000, any::<bool>()), 1..24),
+                seed in any::<u64>(),
+            ) {
+                let (n, inputs) = random_cone(&gates);
+                let delays = DelayModel::with_variation(&n, 0.3, 60.0, seed);
+
+                let mut wheel_sim = Simulator::new(&n, &delays, seed);
+                wheel_sim.init_all_zero();
+                let mut heap_sim = Simulator::new(&n, &delays, seed);
+                heap_sim.use_reference_heap_queue();
+                heap_sim.init_all_zero();
+
+                apply_stimuli(&mut wheel_sim, &inputs, &stims);
+                apply_stimuli(&mut heap_sim, &inputs, &stims);
+
+                let (mut rw, mut rh) = (RecordingSink::default(), RecordingSink::default());
+                wheel_sim.run_until(500_000, &mut rw);
+                heap_sim.run_until(500_000, &mut rh);
+                prop_assert_eq!(rw.0, rh.0);
+                for net in 0..n.num_nets() as u32 {
+                    prop_assert_eq!(wheel_sim.value(NetId(net)), heap_sim.value(NetId(net)));
+                }
+            }
+
+            /// `reset()` + rerun on a recycled core is bit-identical to a fresh
+            /// construction: same transitions, same final values — even after a
+            /// first run with unrelated stimuli and a different seed.
+            #[test]
+            fn reset_rerun_matches_fresh(
+                gates in prop::collection::vec((0u8..8, 0u8..32, 0u8..32), 3..24),
+                warmup in prop::collection::vec((0u8..4, 0u64..60_000, any::<bool>()), 1..12),
+                stims in prop::collection::vec((0u8..4, 0u64..60_000, any::<bool>()), 1..24),
+                seed in any::<u64>(),
+            ) {
+                let (n, inputs) = random_cone(&gates);
+                let delays = DelayModel::with_variation(&n, 0.3, 60.0, seed ^ 0x5eed);
+                let graph = SimGraph::new(&n);
+
+                let mut fresh = Simulator::with_graph(&graph, &delays, seed);
+                fresh.init_all_zero();
+                apply_stimuli(&mut fresh, &inputs, &stims);
+                let mut want = RecordingSink::default();
+                fresh.run_until(500_000, &mut want);
+
+                let mut reused = Simulator::with_graph(&graph, &delays, seed ^ 0xbad);
+                reused.init_all_zero();
+                apply_stimuli(&mut reused, &inputs, &warmup);
+                reused.run_until(500_000, &mut RecordingSink::default());
+
+                reused.reset(seed);
+                apply_stimuli(&mut reused, &inputs, &stims);
+                let mut got = RecordingSink::default();
+                reused.run_until(500_000, &mut got);
+
+                prop_assert_eq!(got.0, want.0);
+                for net in 0..n.num_nets() as u32 {
+                    prop_assert_eq!(reused.value(NetId(net)), fresh.value(NetId(net)));
+                }
+            }
+        }
     }
 }

@@ -46,17 +46,14 @@ pub mod wheel;
 pub use bitclock::{BitClockedSim, LaneActivity};
 pub use clocked::{ClockedCore, ClockedSim};
 pub use coupling::{CouplingModel, CouplingSink};
-pub use delay::{set_wide_jitter, wide_jitter_enabled, DelayModel, JitterTile, TILE, WIDE};
+pub use delay::{DelayModel, JitterTile, TILE};
 pub use engine::{PowerSink, SimCore, SimGraph, SimStats, Simulator};
 pub use noise::MeasurementModel;
 pub use power::{
     CountingSink, LaneBinTrace, LaneCounting, LaneEnergy, LaneSink, LaneTrace, NullSink, PackStats,
     PowerTrace,
 };
-pub use sched::{
-    repair_batch_enabled, set_repair_batch, CompiledSchedule, RepairQueue, RepairTicket,
-    SchedRunner, SchedStats, LANES,
-};
+pub use sched::{CompiledSchedule, RepairQueue, RepairTicket, SchedRunner, SchedStats, LANES};
 pub use vcd::VcdSink;
 pub use waveform::WaveformRecorder;
 pub use wheel::{TimingWheel, WheelStats};

@@ -7,7 +7,6 @@
 //! `noise² / N`, so dividing sigma by √k divides the traces-to-detection by
 //! k. EXPERIMENTS.md records the scaling used for each figure.
 
-use crate::delay::wide_jitter_enabled;
 use rand::rngs::SmallRng;
 use rand::{RngCore, RngExt, SeedableRng};
 use std::sync::OnceLock;
@@ -195,35 +194,11 @@ impl MeasurementModel {
         v.round().clamp(-fs, fs - 1.0)
     }
 
-    /// Apply the chain to a whole trace in place — batched form of
-    /// [`MeasurementModel::sample`], bit-identical per element.
-    ///
-    /// Under the wide jitter gate ([`wide_jitter_enabled`]) the chain
-    /// splits into three element-wise loops — gain, noise draws,
-    /// round/clamp — so the gain and quantisation stages autovectorize.
-    /// The noise stage stays sequential: the ziggurat consumes a
-    /// variable number of RNG words per draw and the stream order is
-    /// pinned by the golden traces. Every element still sees exactly
-    /// `sample`'s arithmetic in `sample`'s order, so toggling the gate
-    /// never changes an ADC count.
+    /// Apply the chain to a whole trace in place, one
+    /// [`MeasurementModel::sample`] per element in trace order.
     pub fn apply(&mut self, trace: &mut [f64]) {
-        if !wide_jitter_enabled() {
-            for s in trace {
-                *s = self.sample(*s);
-            }
-            return;
-        }
-        for s in trace.iter_mut() {
-            *s *= self.gain;
-        }
-        if self.noise_sigma > 0.0 {
-            for s in trace.iter_mut() {
-                *s += self.gauss() * self.noise_sigma;
-            }
-        }
-        let fs = self.full_scale();
-        for s in trace.iter_mut() {
-            *s = s.round().clamp(-fs, fs - 1.0);
+        for s in trace {
+            *s = self.sample(*s);
         }
     }
 
@@ -267,12 +242,10 @@ mod tests {
         assert!((var - 100.0).abs() < 5.0, "var {var}");
     }
 
-    /// The split-loop batched chain must consume the RNG stream exactly
-    /// like the per-sample chain: same seed, same ADC counts, both ways
-    /// of the runtime gate and via both entry points.
+    /// The whole-trace entry points must consume the RNG stream exactly
+    /// like the per-sample chain: same seed, same ADC counts.
     #[test]
     fn batched_chain_matches_per_sample() {
-        use crate::delay::set_wide_jitter;
         let ideal: Vec<f64> = (0..257).map(|i| (i as f64 * 13.7).sin() * 900.0).collect();
         let mut want = Vec::new();
         {
@@ -281,18 +254,14 @@ mod tests {
                 want.push(m.sample(s));
             }
         }
-        for wide in [true, false] {
-            set_wide_jitter(wide);
-            let mut m = MeasurementModel::new(1.3, 6.0, 12, 77);
-            let mut got = ideal.clone();
-            m.apply(&mut got);
-            assert_eq!(got, want, "apply, wide={wide}");
-            let mut m = MeasurementModel::new(1.3, 6.0, 12, 77);
-            let mut got = vec![0.0; ideal.len()];
-            m.sample_into(&ideal, &mut got);
-            assert_eq!(got, want, "sample_into, wide={wide}");
-        }
-        set_wide_jitter(true);
+        let mut m = MeasurementModel::new(1.3, 6.0, 12, 77);
+        let mut got = ideal.clone();
+        m.apply(&mut got);
+        assert_eq!(got, want, "apply");
+        let mut m = MeasurementModel::new(1.3, 6.0, 12, 77);
+        let mut got = vec![0.0; ideal.len()];
+        m.sample_into(&ideal, &mut got);
+        assert_eq!(got, want, "sample_into");
     }
 
     /// The bulk fill must be the same RNG stream as sequential draws.

@@ -42,50 +42,19 @@
 //! bench gadget under Fig. 15 jitter (σ = 400 ps) about 2% of lanes
 //! diverge, so the fallback is a small fraction of campaign time.
 
-use crate::delay::{event_hash, quantized_gaussian, wide_jitter_enabled, DelayModel, JitterTile};
+use crate::delay::{event_hash, quantized_gaussian, DelayModel, JitterTile};
 use crate::engine::{SimGraph, JITTER_SALT_XOR, MAX_PINS};
 use crate::power::LaneSink;
 use gm_netlist::{Csr, GateId, NetId};
 use gm_obs::{Counter, Report, Stopwatch};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Traces per sweep pass (one bit per lane in every net-value word).
 pub const LANES: usize = 64;
 
-/// Runtime switch for deferred divergence repair. Three states so the
-/// env var is read once, lazily: 0 = undecided, 1 = batched, 2 = inline.
-static REPAIR_BATCH: AtomicU8 = AtomicU8::new(0);
-
-/// Whether divergent-lane repair is deferred into a [`RepairQueue`] and
-/// drained in batches. Decided once from `GM_REPAIR_BATCH` (`0`/`off`
-/// pins the legacy inline per-lane fallback, anything else — including
-/// unset — the batched drain). Either way every abandoned lane re-runs
-/// the same seed on the same scalar wheel, so the gate is a performance
-/// choice, never a correctness one; CI diffs campaign stdout across it
-/// byte-for-byte.
-pub fn repair_batch_enabled() -> bool {
-    match REPAIR_BATCH.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = !matches!(std::env::var("GM_REPAIR_BATCH"),
-                Ok(v) if v == "0" || v.eq_ignore_ascii_case("off"));
-            REPAIR_BATCH.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Force deferred repair on or off, overriding the env default (the
-/// equivalence tests and benchmarks A/B both paths in-process).
-pub fn set_repair_batch(enabled: bool) {
-    REPAIR_BATCH.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}
-
 /// One abandoned divergent lane, queued for deferred scalar repair:
 /// everything the wheel rerun needs (the per-trace seed and the lane's
 /// stimulus-slot values) plus the caller's label slot, so the repaired
-/// result lands exactly where the inline fallback would have written it.
+/// result lands in the row the lane's label owns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairTicket {
     /// Per-trace simulation seed of the abandoned lane.
@@ -108,7 +77,7 @@ pub struct RepairTicket {
 /// order, and every rerun is a pure function of its ticket (the wheel
 /// is reset to the ticket's seed), so deferring repair never changes a
 /// campaign's bytes — results land in the same label slots with the
-/// same values the inline fallback would have produced.
+/// same values an inline per-lane rerun produces.
 #[derive(Debug, Default)]
 pub struct RepairQueue {
     tickets: Vec<RepairTicket>,
@@ -431,11 +400,11 @@ pub struct SchedStats {
     /// (public so trace sources can wrap their fallback loop in
     /// `stats.fallback_ns.span()`).
     pub fallback_ns: Stopwatch,
-    /// Jitter draws taken through the staged tile sampler (the wide
-    /// path: every draw is consumed, nothing is over-drawn).
+    /// Jitter draws taken through the staged tile sampler (every draw
+    /// is consumed, nothing is over-drawn).
     pub jitter_batched: Counter,
-    /// Jitter draws taken scalar inside the sweep loop (wide path off,
-    /// or too few toggled lanes for a tile to pay).
+    /// Jitter draws taken scalar inside the sweep loop (jitter-free
+    /// model, or too few toggled lanes for a tile to pay).
     pub jitter_scalar: Counter,
     /// Divergent lanes repaired through a deferred [`RepairQueue`]
     /// drain (inline fallbacks count only in `fallback_lanes`).
@@ -611,14 +580,14 @@ impl SchedRunner {
             self.glanes[gl..gl + LANES].fill(GateLane::default());
             self.planes_pin[gl..gl + LANES].fill(PinLane::default());
         }
-        // Per-visit staged tile draws: a node visit that toggles enough
-        // lanes compacts them into the runner's [`JitterTile`] and draws
-        // all of them through the batched sampler, which is bit-identical
-        // to the in-loop scalar chain — a pure performance fork. Unlike
-        // a whole-pass pre-drawn plane this never over-draws: the
+        // Per-visit staged tile draws: a jittered node visit that
+        // toggles enough lanes compacts them into the runner's
+        // [`JitterTile`] and draws all of them through the batched
+        // sampler, which is bit-identical to the in-loop scalar chain.
+        // Unlike a whole-pass pre-drawn plane this never over-draws: the
         // superset schedule visits gates ~3× more often than lanes
         // actually toggle.
-        let use_tile = delays.jitter_sigma_ps() > 0.0 && wide_jitter_enabled();
+        let use_tile = delays.jitter_sigma_ps() > 0.0;
         let mut batched_draws = 0u64;
         let mut scalar_draws = 0u64;
         let mut divergent = 0u64;
@@ -1081,6 +1050,10 @@ mod tests {
             // stay almost fully compiled.
             let cap = if sigma > 100.0 { 32 } else { 8 };
             assert!(div.count_ones() < cap, "sigma {sigma}: divergent mask {div:#x}");
+            // Jittered passes draw through the staged tile, so the
+            // wheel comparison above pins the tile sampler too.
+            #[cfg(not(feature = "obs-off"))]
+            assert_eq!(runner.stats.jitter_batched.get() > 0, sigma > 0.0, "sigma {sigma}");
         }
     }
 
@@ -1158,50 +1131,6 @@ mod tests {
         // Lane 1: a up + buf up = 2.
         assert_eq!(counting.count[1], 2);
         assert_eq!(runner.value(buf), 0b11);
-    }
-
-    /// The batched-tile (wide) path and the in-loop scalar path must
-    /// produce identical transition streams, final values and divergence
-    /// masks — the runtime gate is a pure performance fork. (Safe to
-    /// toggle the global gate concurrently with other tests precisely
-    /// because of this identity.)
-    #[test]
-    fn wide_and_scalar_jitter_paths_agree() {
-        let (n, ins) = hazard();
-        let graph = SimGraph::new(&n);
-        let delays = DelayModel::with_variation(&n, 0.4, 400.0, 0xfeed);
-        let stims: Vec<(NetId, u64)> = vec![(ins[0], 1_000), (ins[1], 1_400)];
-        let sched = CompiledSchedule::compile(&graph, &delays, &stims).unwrap();
-        assert!(sched.num_jitter_slots() > 0);
-        let seeds: Vec<u64> = (0..LANES as u64).map(|l| l * 77 + 3).collect();
-        let stim_vals = [0x5555_5555_5555_5555u64, 0x3333_3333_3333_3333];
-        let mut streams = Vec::new();
-        for wide in [true, false] {
-            crate::delay::set_wide_jitter(wide);
-            let mut runner = SchedRunner::new();
-            let mut rec = LaneRec::new();
-            let div = runner.run_pass(
-                &sched,
-                &graph,
-                &delays,
-                &graph.weights,
-                &seeds,
-                &stim_vals,
-                60_000,
-                &mut rec,
-            );
-            let finals: Vec<u64> =
-                (0..graph.num_nets()).map(|i| runner.value(NetId(i as u32))).collect();
-            #[cfg(not(feature = "obs-off"))]
-            assert_eq!(
-                runner.stats.jitter_batched.get() > 0,
-                wide,
-                "tile draws must follow the gate"
-            );
-            streams.push((div, rec.0, finals));
-        }
-        crate::delay::set_wide_jitter(true);
-        assert_eq!(streams[0], streams[1], "wide and scalar jitter paths must be bit-identical");
     }
 
     /// Clocked netlists and gate-driven stimulus nets refuse to compile.

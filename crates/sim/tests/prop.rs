@@ -1,66 +1,17 @@
-//! Property tests for the timing-wheel event queue and the reusable
-//! simulator core, differential against the reference `BinaryHeap`
-//! implementation (kept behind `use_reference_heap_queue`).
+//! Property test for the timing-wheel event queue, differential against
+//! `std`'s `BinaryHeap`: the wheel is a drop-in priority queue — identical
+//! `(time, seq)` pop order for any push/pop interleaving the engine can
+//! produce (pushes never precede the last popped time).
 //!
-//! These pin the two contracts PR 2 optimises around:
-//!
-//! 1. the wheel is a drop-in priority queue — identical `(time, seq)`
-//!    pop order for any push/pop interleaving the engine can produce
-//!    (pushes never precede the last popped time);
-//! 2. the wheel-backed simulator emits a bit-identical transition
-//!    stream to the heap-backed one on random logic cones, and
-//!    `reset()` + rerun is bit-identical to a freshly constructed core.
+//! The simulator-level contracts (wheel-backed core ≡ the reference
+//! heap-backed core on random logic cones, `reset()` + rerun ≡ a fresh
+//! core) are unit tests in `engine.rs`, because the reference heap queue
+//! exists only in unit-test builds.
 
-use gm_netlist::{NetId, Netlist};
-use gm_sim::{DelayModel, PowerSink, SimGraph, Simulator, TimingWheel};
+use gm_sim::TimingWheel;
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Records every applied transition exactly (weight compared by bits).
-#[derive(Default)]
-struct RecordingSink(Vec<(u64, u32, bool, u64)>);
-
-impl PowerSink for RecordingSink {
-    fn transition(&mut self, time_ps: u64, net: NetId, new_value: bool, weight: f64) {
-        self.0.push((time_ps, net.0, new_value, weight.to_bits()));
-    }
-}
-
-/// Build a random combinational cone over 4 primary inputs: each gate
-/// draws its operands from any earlier net, so the graph is acyclic by
-/// construction and fans out freely (reconvergence included).
-fn random_cone(gates: &[(u8, u8, u8)]) -> (Netlist, [NetId; 4]) {
-    let mut n = Netlist::new("cone");
-    let inputs = [n.input("i0"), n.input("i1"), n.input("i2"), n.input("i3")];
-    let mut nets: Vec<NetId> = inputs.to_vec();
-    for &(kind, a, b) in gates {
-        let x = nets[a as usize % nets.len()];
-        let y = nets[b as usize % nets.len()];
-        let out = match kind % 8 {
-            0 => n.and2(x, y),
-            1 => n.or2(x, y),
-            2 => n.xor2(x, y),
-            3 => n.nand2(x, y),
-            4 => n.nor2(x, y),
-            5 => n.xnor2(x, y),
-            6 => n.inv(x),
-            _ => n.buf(x),
-        };
-        nets.push(out);
-    }
-    let z = *nets.last().expect("at least the inputs");
-    n.output("z", z);
-    n.validate().expect("random cone validates");
-    (n, inputs)
-}
-
-/// Schedule the stimulus list on `sim` (input index, time, value).
-fn apply_stimuli(sim: &mut Simulator<'_>, inputs: &[NetId; 4], stims: &[(u8, u64, bool)]) {
-    for &(i, t, v) in stims {
-        sim.schedule(inputs[i as usize % 4], t, v);
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -94,76 +45,5 @@ proptest! {
         }
         prop_assert!(wheel.pop().is_none());
         prop_assert!(wheel.is_empty());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The wheel-backed simulator and the reference heap-backed one emit
-    /// identical transition streams (time, net, value, weight) on random
-    /// cones with jittered delays — pulse rejection and tie-breaking
-    /// included.
-    #[test]
-    fn wheel_sim_matches_heap_sim(
-        gates in prop::collection::vec((0u8..8, 0u8..32, 0u8..32), 3..24),
-        stims in prop::collection::vec((0u8..4, 0u64..60_000, any::<bool>()), 1..24),
-        seed in any::<u64>(),
-    ) {
-        let (n, inputs) = random_cone(&gates);
-        let delays = DelayModel::with_variation(&n, 0.3, 60.0, seed);
-
-        let mut wheel_sim = Simulator::new(&n, &delays, seed);
-        wheel_sim.init_all_zero();
-        let mut heap_sim = Simulator::new(&n, &delays, seed);
-        heap_sim.use_reference_heap_queue();
-        heap_sim.init_all_zero();
-
-        apply_stimuli(&mut wheel_sim, &inputs, &stims);
-        apply_stimuli(&mut heap_sim, &inputs, &stims);
-
-        let (mut rw, mut rh) = (RecordingSink::default(), RecordingSink::default());
-        wheel_sim.run_until(500_000, &mut rw);
-        heap_sim.run_until(500_000, &mut rh);
-        prop_assert_eq!(rw.0, rh.0);
-        for net in 0..n.num_nets() as u32 {
-            prop_assert_eq!(wheel_sim.value(NetId(net)), heap_sim.value(NetId(net)));
-        }
-    }
-
-    /// `reset()` + rerun on a recycled core is bit-identical to a fresh
-    /// construction: same transitions, same final values — even after a
-    /// first run with unrelated stimuli and a different seed.
-    #[test]
-    fn reset_rerun_matches_fresh(
-        gates in prop::collection::vec((0u8..8, 0u8..32, 0u8..32), 3..24),
-        warmup in prop::collection::vec((0u8..4, 0u64..60_000, any::<bool>()), 1..12),
-        stims in prop::collection::vec((0u8..4, 0u64..60_000, any::<bool>()), 1..24),
-        seed in any::<u64>(),
-    ) {
-        let (n, inputs) = random_cone(&gates);
-        let delays = DelayModel::with_variation(&n, 0.3, 60.0, seed ^ 0x5eed);
-        let graph = SimGraph::new(&n);
-
-        let mut fresh = Simulator::with_graph(&graph, &delays, seed);
-        fresh.init_all_zero();
-        apply_stimuli(&mut fresh, &inputs, &stims);
-        let mut want = RecordingSink::default();
-        fresh.run_until(500_000, &mut want);
-
-        let mut reused = Simulator::with_graph(&graph, &delays, seed ^ 0xbad);
-        reused.init_all_zero();
-        apply_stimuli(&mut reused, &inputs, &warmup);
-        reused.run_until(500_000, &mut RecordingSink::default());
-
-        reused.reset(seed);
-        apply_stimuli(&mut reused, &inputs, &stims);
-        let mut got = RecordingSink::default();
-        reused.run_until(500_000, &mut got);
-
-        prop_assert_eq!(got.0, want.0);
-        for net in 0..n.num_nets() as u32 {
-            prop_assert_eq!(reused.value(NetId(net)), fresh.value(NetId(net)));
-        }
     }
 }

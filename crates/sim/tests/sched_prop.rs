@@ -174,10 +174,10 @@ proptest! {
 
         // One recycled fallback core for all divergent lanes, as in the
         // bench trace sources — reset-reuse must not leak state between
-        // lanes. Inline repair (the legacy `GM_REPAIR_BATCH=0` path) is
-        // computed per lane; the deferred batch goes through a
-        // [`RepairQueue`] exactly like the trace sources and must land
-        // the same bytes in the same label slots.
+        // lanes. Each divergent lane is first rerun on the wheel right
+        // here, per lane, as the oracle; the deferred batch then goes
+        // through a [`RepairQueue`] exactly like the trace sources and
+        // must land the same bytes in the same label slots.
         let mut fallback = SimCore::new(&graph, 0);
         let mut composed: Vec<Stream> = Vec::new();
         let mut repairs = RepairQueue::new();
