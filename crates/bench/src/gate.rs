@@ -1,8 +1,8 @@
 //! Shared gate-level TVLA trace sources.
 //!
-//! The event-driven campaigns (`table1`, `fig15_gate`, `bench_gate`) all
-//! acquire traces the same way: a small gadget bank netlist, per-device
-//! delay model, per-trace masked stimulus, switching-activity power. This
+//! The event-driven campaigns (`table1`, `fig15_gate`) all acquire
+//! traces the same way: a small gadget bank netlist, per-device delay
+//! model, per-trace masked stimulus, switching-activity power. This
 //! module holds the [`gm_leakage::TraceSource`] implementations so every
 //! binary routes through the persistent-worker campaign machinery of
 //! `gm-leakage::tvla` instead of hand-rolled acquisition loops.
@@ -666,9 +666,8 @@ mod tests {
     /// worker forks its own device streams from its index, so repeating
     /// the identical campaign reproduces the bias bit-for-bit. Across
     /// *different* thread counts the per-worker streams regroup and the
-    /// estimate moves within its `1/√N` sampling noise — that is the
-    /// cross-row drift of `placement_bias` in `BENCH_gate.json`
-    /// (documented in EXPERIMENTS.md), not a backend change.
+    /// estimate moves within its `1/√N` sampling noise (documented in
+    /// EXPERIMENTS.md), not a backend change.
     #[test]
     fn placement_bias_is_seed_stable() {
         let gadget = Arc::new(build_pd_gadget(2));
@@ -710,6 +709,28 @@ mod tests {
                 "max |t1| moved between backends for {seq:?} (leaky={}): {tc} vs {ts}",
                 predicted_leaky(&seq)
             );
+        }
+    }
+
+    /// Table I's conclusion on the gate-level campaign: the first leaky
+    /// and the first safe arrival order, on the 8-replica bank at 4 000
+    /// traces, reach the verdict `predicted_leaky` gives them. The
+    /// configuration is `table1`'s at its default seed.
+    #[test]
+    fn sequence_verdicts_match_predicted_rule() {
+        use gm_core::schedule::all_sequences;
+        use gm_leakage::leaks;
+        let seed = 2023;
+        let bank = Arc::new(build_sec_and2_bank(8));
+        let delays = Arc::new(DelayModel::with_variation(&bank.netlist, 0.15, 40.0, seed ^ 0x7a51));
+        let seqs = all_sequences();
+        let leaky = *seqs.iter().find(|s| predicted_leaky(s)).expect("a leaky sequence exists");
+        let safe = *seqs.iter().find(|s| !predicted_leaky(s)).expect("a safe sequence exists");
+        for (seq, expect_leak) in [(leaky, true), (safe, false)] {
+            let src = SequenceSource::new(Arc::clone(&bank), Arc::clone(&delays), seq, seed);
+            let campaign = Campaign { traces: 4_000, threads: 2, seed: seed ^ 0x1ab1e };
+            let t1 = campaign.run(&src).t1();
+            assert_eq!(leaks(&t1), expect_leak, "Table I verdict changed for {seq:?}");
         }
     }
 }

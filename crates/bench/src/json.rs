@@ -1,6 +1,6 @@
 //! Minimal JSON value parser (no external crates; see DESIGN.md §4.6).
 //!
-//! Exists so the metrics/record emitters can be *round-tripped* in tests
+//! Exists so the metrics emitters can be *round-tripped* in tests
 //! and validated by `validate_metrics` without pulling in serde. It
 //! accepts exactly the JSON this workspace emits (objects, arrays,
 //! strings with the escapes `gm_obs::report::escape_into` produces plus

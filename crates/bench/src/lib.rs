@@ -1,7 +1,7 @@
 //! # gm-bench
 //!
-//! Shared helpers for the table/figure regeneration binaries and criterion
-//! benches. Each evaluation artefact of the paper has its own binary:
+//! Shared helpers for the table/figure regeneration binaries. Each
+//! evaluation artefact of the paper has its own binary:
 //!
 //! | Artefact | Binary |
 //! |---|---|
@@ -24,15 +24,12 @@
 //! | Per-module glitch census of both cores | `glitch_census` |
 //! | SNR vs. gadget replication | `snr_replication` |
 //! | Leak-model calibration sweep | `calibrate` |
-//! | Simulation throughput probe | `speed_probe` |
-//! | Cycle-model TVLA throughput, scalar oracle vs bitsliced (`BENCH_tvla.json`) | `bench_tvla` |
-//! | Gate-level TVLA throughput, scalar wheel vs compiled schedule (`BENCH_gate.json`) | `bench_gate` |
-//! | Regression gate over the BENCH trajectories | `regress` |
 //! | Metrics JSONL / Chrome-trace schema check | `validate_metrics` |
 //!
-//! Per-layer time splits of the campaign pipelines (evaluate, power,
-//! noise, moments; sweep, jitter, repair, pack) come from the
-//! `glitchbench` package: `glitchbench --trace 1`.
+//! Throughput is measured by the `glitchbench` package at the repository
+//! root, over the paper's TVLA campaigns; it also gives the per-layer
+//! time splits of the campaign pipelines (evaluate, power, noise,
+//! moments; sweep, jitter, repair, pack) with `glitchbench --trace 1`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,8 +39,6 @@ pub mod gate;
 pub mod json;
 pub mod metrics;
 pub mod panel;
-pub mod record;
 
 pub use cli::Args;
 pub use metrics::MetricsSink;
-pub use record::{read_records, BenchRecord};

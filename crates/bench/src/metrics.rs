@@ -7,13 +7,13 @@
 //! convergence telemetry, or records hand-timed phases with
 //! [`MetricsSink::record_phase`]). Records stream to the `--metrics`
 //! JSONL file the moment they exist, each as one single-buffer write —
-//! `"kind":"phase"` records carry the same `traces`/`threads`/`git_rev`
-//! envelope as the `BENCH_*.json` records; `"kind":"progress"` records
-//! carry incremental max-|t| / traces-done / throughput snapshots. At
-//! exit, [`MetricsSink::finish`] exports the captured span tree as
-//! Chrome trace-event JSON (under `--trace-out`) and prints a
-//! human-readable end-of-run summary table (per-phase wall time, worker
-//! balance, simulator events per trace, glitch census).
+//! `"kind":"phase"` records carry the phase's `traces`/`threads`/`seconds`
+//! under a `bin`/`label`/`git_rev`/`seed` provenance head;
+//! `"kind":"progress"` records carry incremental max-|t| / traces-done /
+//! throughput snapshots. At exit, [`MetricsSink::finish`] exports the
+//! captured span tree as Chrome trace-event JSON (under `--trace-out`)
+//! and prints a human-readable end-of-run summary table (per-phase wall
+//! time, worker balance, simulator events per trace, glitch census).
 //!
 //! When neither flag is given the sink is inert: campaigns still run
 //! through the same observed entry points (whose instrumentation is the
@@ -21,12 +21,12 @@
 //! is collected, written, or printed.
 
 use crate::cli::Args;
-use crate::record::{atomic_write, git_rev};
 use gm_leakage::{Campaign, CampaignObs, TraceSource, TvlaResult};
 use gm_obs::fmt::{human_count, human_ns};
 use gm_obs::{escape_into, Report};
 use std::fs::File;
 use std::io::Write;
+use std::path::Path;
 use std::time::Instant;
 
 /// One observed phase (usually one TVLA campaign) of a binary's run.
@@ -416,51 +416,41 @@ fn truncated(s: &str, n: usize) -> &str {
     &s[..s.len().min(n)]
 }
 
-/// Wall-time ratio of a metrics-recorded campaign over a plain
-/// `Campaign::run`, best of `reps` interleaved passes each (interleaving
-/// shares scheduler/thermal conditions between the two variants). The
-/// recording sink is enabled but never flushed, so this measures exactly
-/// the collection cost the `--metrics` flag adds.
-pub fn metrics_overhead_ratio<S: TraceSource>(campaign: &Campaign, source: &S, reps: usize) -> f64 {
-    // Sink enabled via a throwaway path; finish() is never called.
-    let args = Args { metrics: Some("/dev/null".to_owned()), ..Args::default() };
-    let mut sink = MetricsSink::from_args("overhead-probe", &args);
-    let mut plain = f64::INFINITY;
-    let mut recorded = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let _ = campaign.run(source);
-        plain = plain.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let _ = sink.run("probe", campaign, source);
-        recorded = recorded.min(t.elapsed().as_secs_f64());
-    }
-    recorded / plain
+/// Short git revision of the working tree, for provenance in metrics
+/// records. Returns `"unknown"` outside a git checkout (e.g. a source
+/// tarball) so the binaries never fail over bookkeeping.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_owned())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
 }
 
-/// Assert that enabling metrics costs less than `max_pct` percent of
-/// campaign throughput. Timing noise makes a single measurement
-/// unreliable, so the best ratio over up to `attempts` tries is what
-/// must clear the bound — a genuine regression fails every attempt.
-pub fn assert_metrics_overhead<S: TraceSource>(
-    campaign: &Campaign,
-    source: &S,
-    max_pct: f64,
-    attempts: usize,
-) {
-    let bound = 1.0 + max_pct / 100.0;
-    let mut best = f64::INFINITY;
-    for _ in 0..attempts.max(1) {
-        best = best.min(metrics_overhead_ratio(campaign, source, 3));
-        if best <= bound {
-            println!("  metrics overhead check: {:+.2}% (< {max_pct}%)", (best - 1.0) * 100.0);
-            return;
+/// Write `body` to `path` atomically: write to a sibling temp file, sync,
+/// then rename over the destination. Readers never observe a torn file.
+fn atomic_write(path: &str, body: &str) -> std::io::Result<()> {
+    let dest = Path::new(path);
+    let dir = dest.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or_else(|| Path::new("."));
+    let file_name = dest.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("bad path {path}"))
+    })?;
+    let tmp = dir.join(format!(".{file_name}.tmp.{}", std::process::id()));
+    let mut f = File::create(&tmp)?;
+    f.write_all(body.as_bytes())?;
+    f.sync_all()?;
+    drop(f);
+    match std::fs::rename(&tmp, dest) {
+        Ok(()) => Ok(()),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
         }
     }
-    panic!(
-        "metrics collection costs {:.2}% of campaign throughput (bound {max_pct}%)",
-        (best - 1.0) * 100.0
-    );
 }
 
 #[cfg(test)]
@@ -489,6 +479,53 @@ mod tests {
         }
     }
 
+    /// Wall-time ratio of a metrics-recorded campaign over a plain
+    /// `Campaign::run`, best of `reps` interleaved passes each (interleaving
+    /// shares scheduler/thermal conditions between the two variants). The
+    /// recording sink is enabled but never flushed, so this measures exactly
+    /// the collection cost the `--metrics` flag adds.
+    fn metrics_overhead_ratio<S: TraceSource>(campaign: &Campaign, source: &S, reps: usize) -> f64 {
+        // Sink enabled via a throwaway path; finish() is never called.
+        let args = Args { metrics: Some("/dev/null".to_owned()), ..Args::default() };
+        let mut sink = MetricsSink::from_args("overhead-probe", &args);
+        let mut plain = f64::INFINITY;
+        let mut recorded = f64::INFINITY;
+        for _ in 0..reps {
+            let t = Instant::now();
+            let _ = campaign.run(source);
+            plain = plain.min(t.elapsed().as_secs_f64());
+            let t = Instant::now();
+            let _ = sink.run("probe", campaign, source);
+            recorded = recorded.min(t.elapsed().as_secs_f64());
+        }
+        recorded / plain
+    }
+
+    /// Assert that enabling metrics costs less than `max_pct` percent of
+    /// campaign throughput. Timing noise makes a single measurement
+    /// unreliable, so the best ratio over up to `attempts` tries is what
+    /// must clear the bound — a genuine regression fails every attempt.
+    fn assert_metrics_overhead<S: TraceSource>(
+        campaign: &Campaign,
+        source: &S,
+        max_pct: f64,
+        attempts: usize,
+    ) {
+        let bound = 1.0 + max_pct / 100.0;
+        let mut best = f64::INFINITY;
+        for _ in 0..attempts.max(1) {
+            best = best.min(metrics_overhead_ratio(campaign, source, 3));
+            if best <= bound {
+                println!("  metrics overhead check: {:+.2}% (< {max_pct}%)", (best - 1.0) * 100.0);
+                return;
+            }
+        }
+        panic!(
+            "metrics collection costs {:.2}% of campaign throughput (bound {max_pct}%)",
+            (best - 1.0) * 100.0
+        );
+    }
+
     /// Serializes the campaign-heavy tests against the wall-clock
     /// overhead probe: they are individually correct under parallel
     /// execution, but their CPU load is exactly the noise that makes a
@@ -505,6 +542,24 @@ mod tests {
             seed: 5,
             ..Args::default()
         }
+    }
+
+    #[test]
+    fn atomic_write_replaces_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join("gm_bench_atomic_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("x.json");
+        let path = path.to_str().unwrap();
+        atomic_write(path, "one").unwrap();
+        atomic_write(path, "two").unwrap();
+        assert_eq!(std::fs::read_to_string(path).unwrap(), "two");
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files must not survive: {leftovers:?}");
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

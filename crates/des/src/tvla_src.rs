@@ -402,14 +402,6 @@ impl AnyCycleSource {
             AnyCycleSource::Bitsliced(BitslicedCycleSource::with_pd_leak(cfg, leak))
         }
     }
-
-    /// Short name for bench records.
-    pub fn backend_name(&self) -> &'static str {
-        match self {
-            AnyCycleSource::Scalar(_) => "scalar",
-            AnyCycleSource::Bitsliced(_) => "bitsliced",
-        }
-    }
 }
 
 impl TraceSource for AnyCycleSource {
@@ -689,8 +681,8 @@ mod tests {
     /// Fig. 14 golden check: the full *parallel* campaign pipeline
     /// (persistent worker pool, per-worker source forks, blocked moment
     /// merge) reports the same `max|t1|` and `max|t2|` on both backends
-    /// to 1e-9 — the acceptance criterion `bench_tvla` asserts on every
-    /// run, pinned here at test size.
+    /// to 1e-9 — the agreement glitchbench's "bitsliced vs scalar" check
+    /// asserts on every benchmark run, pinned here at test size.
     #[test]
     fn fig14_parallel_max_t1_matches_scalar_golden() {
         let cfg = SourceConfig::new(CoreVariant::Ff);

@@ -139,31 +139,45 @@ impl TraceSet {
         w.flush()
     }
 
-    /// Read the `GMT1` binary format.
+    /// Read the `GMT1` binary format. Returns `InvalidData` on a bad
+    /// magic, a class byte other than 0/1, or a file that ends inside a
+    /// record. Memory grows with the record bytes actually read, never
+    /// with the trace length the header claims.
     pub fn read_binary<R: Read>(r: R) -> io::Result<Self> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let mut r = BufReader::new(r);
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != b"GMT1" {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
+            return Err(invalid("bad magic".to_owned()));
         }
         let mut len = [0u8; 4];
         r.read_exact(&mut len)?;
         let num_samples = u32::from_le_bytes(len) as usize;
+        let sample_bytes = 8 * num_samples as u64;
         let mut set = TraceSet::new(num_samples);
-        let mut buf = vec![0u8; 1 + 8 * num_samples];
+        let mut buf = Vec::new();
         loop {
-            match r.read_exact(&mut buf) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e),
+            let class = match r.fill_buf()?.first() {
+                None => break,
+                Some(0) => Class::Fixed,
+                Some(1) => Class::Random,
+                Some(b) => return Err(invalid(format!("trace {}: bad class byte {b}", set.len()))),
+            };
+            r.consume(1);
+            buf.clear();
+            if (&mut r).take(sample_bytes).read_to_end(&mut buf)? as u64 != sample_bytes {
+                return Err(invalid(format!(
+                    "trace {}: record torn after {} of {sample_bytes} sample bytes",
+                    set.len(),
+                    buf.len()
+                )));
             }
-            let class = if buf[0] == 0 { Class::Fixed } else { Class::Random };
-            let samples: Vec<f64> = buf[1..]
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunks")))
-                .collect();
-            set.push(class, &samples);
+            set.classes.push(class);
+            set.samples.extend(
+                buf.chunks_exact(8)
+                    .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunks"))),
+            );
         }
         Ok(set)
     }
@@ -238,6 +252,48 @@ mod tests {
         assert!(TraceSet::read_csv("weird,1.0\n".as_bytes()).is_err());
         assert!(TraceSet::read_csv("fixed,1.0\nrandom,1.0,2.0\n".as_bytes()).is_err());
         assert!(TraceSet::read_binary(&b"NOPE"[..]).is_err());
+
+        let invalid = |bytes: &[u8]| {
+            TraceSet::read_binary(bytes).expect_err("must be rejected").kind()
+                == io::ErrorKind::InvalidData
+        };
+        let mut file = Vec::new();
+        sample_set().write_binary(&mut file).unwrap();
+        assert_eq!(file.len(), 83);
+        // A torn final record is an error, not a shorter set.
+        assert!(invalid(&file[..78]));
+        // Only 0 (fixed) and 1 (random) are class bytes.
+        let mut bad_class = file.clone();
+        bad_class[8] = 7;
+        assert!(invalid(&bad_class));
+        // A header claiming 2^31 - 1 samples per trace, then a partial
+        // record: rejected without a 16 GiB record buffer.
+        assert!(invalid(b"GMT1\xff\xff\xff\x7f\x00\x01\x02"));
+        // The bare header is a valid empty set (what `write_binary`
+        // writes for `TraceSet::new(0x7fff_ffff)`), read without one.
+        let empty = TraceSet::read_binary(&b"GMT1\xff\xff\xff\x7f"[..]).unwrap();
+        assert_eq!((empty.len(), empty.num_samples), (0, 0x7fff_ffff));
+    }
+
+    /// A file cut on a record boundary reads back exactly the whole
+    /// records before the cut; a cut anywhere else is an error.
+    #[test]
+    fn binary_cut_at_every_offset() {
+        let s = sample_set();
+        let mut file = Vec::new();
+        s.write_binary(&mut file).unwrap();
+        let record = 1 + 8 * s.num_samples;
+        for cut in 0..=file.len() {
+            let read = TraceSet::read_binary(&file[..cut]);
+            if cut >= 8 && (cut - 8) % record == 0 {
+                let whole = (cut - 8) / record;
+                let mut prefix = TraceSet::new(s.num_samples);
+                (0..whole).for_each(|i| prefix.push(*s.trace(i).0, s.trace(i).1));
+                assert_eq!(read.unwrap(), prefix, "cut at {cut}");
+            } else {
+                assert!(read.is_err(), "cut at {cut} must be an error");
+            }
+        }
     }
 
     #[test]

@@ -765,7 +765,8 @@ impl Campaign {
                 // result by a few ULPs between identical runs. Sorting
                 // by worker index first makes the whole parallel
                 // campaign a pure function of (seed, traces, threads) —
-                // the reproducibility `bench_gate` asserts at scale.
+                // the reproducibility glitchbench's `repeatable` check
+                // asserts at scale.
                 // Progress notifications interleave with the partials on
                 // the same channel and are handled here, on the
                 // coordinator thread, by merging the published slots on

@@ -564,11 +564,11 @@ mod tests {
     }
 
     /// The staged tile sampler must be **bit-identical** to the scalar
-    /// event sampler for every `(salt, gate, ordinal)` — the acceptance
-    /// criterion the compiled≡wheel equivalence and the golden trains
-    /// rest on. Covers full and partial tiles, adversarial salts
-    /// (extreme hash values exercise the split conversion's high half
-    /// and the table edges), and the jitter-free fast path.
+    /// event sampler for every `(salt, gate, ordinal)` — the property
+    /// the compiled≡wheel equivalence and the golden trains rest on.
+    /// Covers full and partial tiles, adversarial salts (extreme hash
+    /// values exercise the split conversion's high half and the table
+    /// edges), and the jitter-free fast path.
     #[test]
     fn sample_event_tile_matches_scalar_sampler() {
         let n = tiny();
