@@ -5,7 +5,12 @@
 //! accepts exactly the JSON this workspace emits (objects, arrays,
 //! strings with the escapes `gm_obs::report::escape_into` produces plus
 //! `\/`, `\b`, `\f` and `\uXXXX`, numbers, booleans, null) and rejects
-//! everything else with a byte-offset error message.
+//! everything else with a byte-offset error message. Arrays and objects
+//! nest at most [`MAX_DEPTH`] deep, so hostile input gets an `Err`
+//! instead of overflowing the parser's stack.
+
+/// Deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +81,7 @@ impl Json {
 
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -89,6 +94,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -117,8 +124,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -127,6 +134,17 @@ impl Parser<'_> {
             Some(b) => Err(format!("unexpected byte '{}' at {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Parse one array/object, refusing to open more than [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -213,10 +231,13 @@ impl Parser<'_> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| "truncated \\u escape".to_owned())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ascii \\u escape".to_owned())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign (`\u+041`).
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(format!("bad \\u escape at byte {}", self.pos));
+                            }
+                            let hex = std::str::from_utf8(hex).expect("ascii hex digits");
+                            let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                             // Unpaired surrogates are rejected; this
                             // workspace only escapes control characters.
                             out.push(
@@ -299,6 +320,27 @@ mod tests {
         assert!(parse("{}extra").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn rejects_deep_nesting_without_overflowing() {
+        let deep = "[".repeat(1_000_000);
+        assert!(parse(&deep).unwrap_err().contains("nesting deeper"));
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
+        let objs = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objs).is_err());
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#).unwrap(), Json::Str("A".to_owned()));
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u-041""#).is_err());
+        assert!(parse(r#""\u 041""#).is_err());
+        assert!(parse(r#""\u004""#).is_err());
     }
 
     #[test]

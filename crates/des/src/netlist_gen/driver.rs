@@ -469,4 +469,62 @@ mod tests {
             assert_eq!(trace.samples(), fresh[t].1.as_slice(), "trace {t}: power differs");
         }
     }
+
+    /// Golden digest of one glitch-accurate encryption on the clocked
+    /// event path: the secAND2-PD(10) core with σ = 40 ps per-event
+    /// jitter and k = 0.4 delay-line coupling (the `fig17 --gate-level`
+    /// configuration), hashed over every applied `(time, net, value)`
+    /// transition and the bits of every power sample. Any change to event
+    /// order, timing or energy in the engine, the event queue or the
+    /// clocked harness changes the digest.
+    #[test]
+    fn pd10_encrypt_golden_digest() {
+        use gm_sim::{CouplingModel, PowerTrace};
+
+        /// FNV-1a over the little-endian bytes of each transition,
+        /// forwarding it to the coupled power trace.
+        struct Digest<S> {
+            hash: u64,
+            inner: S,
+        }
+        impl<S> Digest<S> {
+            fn feed(&mut self, bytes: &[u8]) {
+                for &b in bytes {
+                    self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        impl<S: PowerSink> PowerSink for Digest<S> {
+            fn transition(&mut self, t: u64, net: NetId, v: bool, w: f64) {
+                self.feed(&t.to_le_bytes());
+                self.feed(&net.0.to_le_bytes());
+                self.feed(&[u8::from(v)]);
+                self.inner.transition(t, net, v, w);
+            }
+        }
+
+        let style = SboxStyle::Pd { unit_luts: 10 };
+        let core = build_des_core(style);
+        let timing = gm_netlist::timing::analyze(&core.netlist).expect("core validates");
+        let period = timing.critical_path_ps * 6 / 5;
+        let delays = DelayModel::with_variation(&core.netlist, 0.15, 40.0, 2023);
+        let mut coupling = CouplingModel::new(600);
+        for &(a, b) in &core.coupled_pairs {
+            coupling.add_pair(a, b, 0.4);
+        }
+        let cycles = total_cycles(style);
+        let trace = PowerTrace::new(0, period / 4, cycles * 4);
+        let mut sink = Digest { hash: 0xcbf2_9ce4_8422_2325, inner: coupling.sink(trace) };
+        let mut rng = MaskRng::new(2023);
+        let inputs = EncryptionInputs::draw(0x0123456789ABCDEF, 0x133457799BBCDFF1, &mut rng);
+        let graph = SimGraph::new(&core.netlist);
+        let mut drv = DesDriverCore::new(style, &graph, period, 2023);
+        let ct = drv.encrypt(&core, &graph, &delays, &inputs, &mut sink);
+        assert_eq!(ct, 0x85E813540F0AB405);
+        let samples = sink.inner.inner().samples().to_vec();
+        for s in samples {
+            sink.feed(&s.to_bits().to_le_bytes());
+        }
+        assert_eq!(sink.hash, 0xebd3_e22b_6420_55a2, "digest {:#018x}", sink.hash);
+    }
 }

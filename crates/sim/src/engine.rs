@@ -174,6 +174,40 @@ impl Queue {
     }
 }
 
+/// Everything the event loop reads about one gate, packed (24 bytes).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GateRec {
+    /// Input nets in pin order; the first `arity` are valid (sequential
+    /// gates included, for the clocked harness).
+    pins: [u32; MAX_PINS],
+    /// Output net.
+    pub(crate) out: u32,
+    /// Precomputed truth table: bit `i` is the output when the pin
+    /// values spell `i` (pin `k` → bit `k`). Replaces the
+    /// `GateKind::eval` dispatch on the event hot path; sequential gates
+    /// get 0 (register updates belong to the clocked harness).
+    pub(crate) truth: u16,
+    arity: u8,
+}
+
+impl GateRec {
+    /// Input nets, in pin order.
+    #[inline]
+    pub(crate) fn pins(&self) -> &[u32] {
+        &self.pins[..self.arity as usize]
+    }
+
+    /// Output for the pin values read from `values`.
+    #[inline]
+    fn eval(&self, values: &[bool]) -> bool {
+        let mut idx = 0usize;
+        for (k, &pn) in self.pins().iter().enumerate() {
+            idx |= usize::from(values[pn as usize]) << k;
+        }
+        self.truth >> idx & 1 != 0
+    }
+}
+
 /// Immutable simulation topology shared by every [`SimCore`] over the
 /// same netlist: flat CSR adjacency, driver/weight tables, topological
 /// order and the settled all-zero baseline. Build once per netlist
@@ -183,17 +217,10 @@ impl Queue {
 pub struct SimGraph {
     /// net -> combinational consumer gates, in gate/pin declaration order.
     pub(crate) consumers: Csr,
-    /// gate -> input nets, in pin order (sequential gates included, for
-    /// the clocked harness).
-    pub(crate) pins: Csr,
+    /// gate -> pins, truth table and output net in one record, so the
+    /// fan-out loop touches one cache line per consumer gate.
+    pub(crate) gates: Vec<GateRec>,
     pub(crate) kinds: Vec<GateKind>,
-    /// gate -> precomputed truth table: bit `i` is the output when the
-    /// pin values spell `i` (pin `k` → bit `k`). Replaces the
-    /// `GateKind::eval` dispatch on the event hot path; sequential gates
-    /// get 0 (register updates belong to the clocked harness).
-    pub(crate) truth: Vec<u16>,
-    /// gate -> output net.
-    pub(crate) outputs: Vec<u32>,
     /// net -> driver gate (`u32::MAX` for inputs/constants).
     pub(crate) driver_gate: Vec<u32>,
     /// Default per-net toggle weight (driver cell area).
@@ -216,44 +243,37 @@ impl SimGraph {
         let nn = netlist.num_nets();
         let ng = netlist.num_gates();
         let mut consumer_pairs: Vec<(u32, u32)> = Vec::new();
-        let mut pin_pairs: Vec<(u32, u32)> = Vec::new();
         let mut kinds = Vec::with_capacity(ng);
-        let mut outputs = Vec::with_capacity(ng);
+        let mut gates = Vec::with_capacity(ng);
         let mut ff_gates = Vec::new();
         for (gi, g) in netlist.gates().iter().enumerate() {
-            kinds.push(g.kind);
-            outputs.push(g.output.0);
-            for &i in &g.inputs {
-                pin_pairs.push((gi as u32, i.0));
+            let np = g.inputs.len();
+            assert!(np <= MAX_PINS, "gate {gi} has {np} pins, more than {MAX_PINS}");
+            let mut rec =
+                GateRec { pins: [0; MAX_PINS], out: g.output.0, truth: 0, arity: np as u8 };
+            for (p, &i) in rec.pins.iter_mut().zip(&g.inputs) {
+                *p = i.0;
             }
+            kinds.push(g.kind);
             if g.kind.is_sequential() {
                 ff_gates.push(GateId(gi as u32));
             } else {
                 for &i in &g.inputs {
                     consumer_pairs.push((i.0, gi as u32));
                 }
-            }
-        }
-        let consumers = Csr::from_pairs(nn, &consumer_pairs);
-        let pins = Csr::from_pairs(ng, &pin_pairs);
-
-        let mut truth = Vec::with_capacity(ng);
-        for (gi, kind) in kinds.iter().enumerate() {
-            let np = pins.row(gi).len();
-            let mut t = 0u16;
-            if !kind.is_sequential() {
                 let mut buf = [false; MAX_PINS];
                 for idx in 0..1u16 << np {
                     for (k, b) in buf.iter_mut().enumerate().take(np) {
                         *b = idx >> k & 1 != 0;
                     }
-                    if kind.eval(&buf[..np]) {
-                        t |= 1 << idx;
+                    if g.kind.eval(&buf[..np]) {
+                        rec.truth |= 1 << idx;
                     }
                 }
             }
-            truth.push(t);
+            gates.push(rec);
         }
+        let consumers = Csr::from_pairs(nn, &consumer_pairs);
 
         let mut weights = vec![1.0; nn];
         let mut driver_gate = vec![u32::MAX; nn];
@@ -282,22 +302,16 @@ impl SimGraph {
         }
         let mut baseline_out_sched = vec![false; ng];
         for &gi in &order {
-            let gi = gi as usize;
-            let mut idx = 0usize;
-            for (k, &pn) in pins.row(gi).iter().enumerate() {
-                idx |= usize::from(baseline_values[pn as usize]) << k;
-            }
-            let v = truth[gi] >> idx & 1 != 0;
-            baseline_values[outputs[gi] as usize] = v;
-            baseline_out_sched[gi] = v;
+            let g = &gates[gi as usize];
+            let v = g.eval(&baseline_values);
+            baseline_values[g.out as usize] = v;
+            baseline_out_sched[gi as usize] = v;
         }
 
         SimGraph {
             consumers,
-            pins,
+            gates,
             kinds,
-            truth,
-            outputs,
             driver_gate,
             weights,
             constants,
@@ -337,12 +351,12 @@ impl SimGraph {
 
     /// Output net of a gate.
     pub fn output(&self, gate: GateId) -> NetId {
-        NetId(self.outputs[gate.index()])
+        NetId(self.gates[gate.index()].out)
     }
 
     /// Input nets of a gate, in pin order.
     pub fn inputs(&self, gate: GateId) -> &[u32] {
-        self.pins.row(gate.index())
+        self.gates[gate.index()].pins()
     }
 }
 
@@ -357,13 +371,8 @@ impl SimGraph {
 #[derive(Debug)]
 pub struct SimCore {
     values: Vec<bool>,
-    /// Last *scheduled* output value per gate (transport-delay bookkeeping).
-    out_sched: Vec<bool>,
-    /// Time of the last scheduled output event per gate: jitter must not
-    /// reorder a single driver's edges (a physical wire cannot).
-    out_last_time: Vec<u64>,
-    /// Schedule version per gate; bumping it cancels in-flight pulses.
-    out_version: Vec<u32>,
+    /// Per-gate schedule bookkeeping.
+    gates: Vec<GateState>,
     /// Per-net toggle weight; starts from the graph's defaults, mutable
     /// via [`SimCore::set_net_weight`] (persists across resets).
     weights: Vec<f64>,
@@ -377,16 +386,37 @@ pub struct SimCore {
     /// independent of how unrelated events interleave. The
     /// compiled-schedule backend replays the identical draws.
     salt: u64,
-    /// Per-gate count of toggling evaluations this trace (the `ordinal`
-    /// fed to the jitter hash).
-    ev_ord: Vec<u32>,
     /// Nets whose value may deviate from the baseline.
     touched_nets: Vec<u32>,
     net_mark: Vec<bool>,
-    /// Gates whose schedule bookkeeping may deviate from the baseline.
+    /// Gates whose [`GateState`] may deviate from the baseline.
     touched_gates: Vec<u32>,
-    gate_mark: Vec<bool>,
     stats: SimStats,
+}
+
+/// One gate's mutable schedule bookkeeping, fused into one record (the
+/// event loop reads and writes these fields together).
+#[derive(Debug, Clone, Copy, Default)]
+struct GateState {
+    /// Time of the last scheduled output event: jitter must not reorder
+    /// a single driver's edges (a physical wire cannot).
+    last_time: u64,
+    /// Schedule version; bumping it cancels in-flight pulses.
+    version: u32,
+    /// Toggling evaluations this trace (the `ordinal` fed to the jitter
+    /// hash).
+    ord: u32,
+    /// Last *scheduled* output value (transport-delay bookkeeping).
+    sched: bool,
+    /// Whether the gate is on `touched_gates`.
+    mark: bool,
+}
+
+impl GateState {
+    /// The settled all-zero state of a gate whose output settles to `sched`.
+    fn baseline(sched: bool) -> Self {
+        GateState { sched, ..GateState::default() }
+    }
 }
 
 /// Lifetime event counters of a [`SimCore`] (all zero and zero-sized
@@ -459,19 +489,15 @@ impl SimCore {
     pub fn new(graph: &SimGraph, seed: u64) -> Self {
         SimCore {
             values: graph.baseline_values.clone(),
-            out_sched: graph.baseline_out_sched.clone(),
-            out_last_time: vec![0; graph.num_gates()],
-            out_version: vec![0; graph.num_gates()],
+            gates: graph.baseline_out_sched.iter().map(|&s| GateState::baseline(s)).collect(),
             weights: graph.weights.clone(),
             queue: Queue::Wheel(TimingWheel::new()),
             seq: 0,
             time: 0,
             salt: seed ^ JITTER_SALT_XOR,
-            ev_ord: vec![0; graph.num_gates()],
             touched_nets: Vec::new(),
             net_mark: vec![false; graph.num_nets()],
             touched_gates: Vec::new(),
-            gate_mark: vec![false; graph.num_gates()],
             stats: SimStats::default(),
         }
     }
@@ -527,8 +553,8 @@ impl SimCore {
 
     #[inline]
     fn touch_gate(&mut self, gi: usize) {
-        if !self.gate_mark[gi] {
-            self.gate_mark[gi] = true;
+        if !self.gates[gi].mark {
+            self.gates[gi].mark = true;
             self.touched_gates.push(gi as u32);
         }
     }
@@ -552,7 +578,7 @@ impl SimCore {
     pub fn set_kind_weight(&mut self, graph: &SimGraph, kind: GateKind, weight: f64) {
         for gi in 0..graph.num_gates() {
             if graph.kinds[gi] == kind {
-                self.weights[graph.outputs[gi] as usize] = weight;
+                self.weights[graph.gates[gi].out as usize] = weight;
             }
         }
     }
@@ -566,11 +592,7 @@ impl SimCore {
         }
         self.touched_nets.clear();
         for &gi in &self.touched_gates {
-            self.out_sched[gi as usize] = graph.baseline_out_sched[gi as usize];
-            self.out_last_time[gi as usize] = 0;
-            self.out_version[gi as usize] = 0;
-            self.ev_ord[gi as usize] = 0;
-            self.gate_mark[gi as usize] = false;
+            self.gates[gi as usize] = GateState::baseline(graph.baseline_out_sched[gi as usize]);
         }
         self.touched_gates.clear();
         self.queue.clear();
@@ -607,14 +629,11 @@ impl SimCore {
         }
         for oi in 0..graph.order.len() {
             let gi = graph.order[oi] as usize;
-            let mut idx = 0usize;
-            for (k, &pn) in graph.pins.row(gi).iter().enumerate() {
-                idx |= usize::from(self.values[pn as usize]) << k;
-            }
-            let v = graph.truth[gi] >> idx & 1 != 0;
-            self.values[graph.outputs[gi] as usize] = v;
-            self.out_sched[gi] = v;
-            self.touch_net(graph.outputs[gi] as usize);
+            let g = &graph.gates[gi];
+            let v = g.eval(&self.values);
+            self.values[g.out as usize] = v;
+            self.gates[gi].sched = v;
+            self.touch_net(g.out as usize);
             self.touch_gate(gi);
         }
     }
@@ -675,7 +694,7 @@ impl SimCore {
     pub fn rewind_time(&mut self) {
         self.queue.clear();
         for &gi in &self.touched_gates {
-            self.out_last_time[gi as usize] = 0;
+            self.gates[gi as usize].last_time = 0;
         }
         self.time = 0;
     }
@@ -691,7 +710,8 @@ impl SimCore {
         let ni = p.net as usize;
         // Stale version: this pulse was inertially annihilated after being
         // scheduled.
-        if p.version != u32::MAX && self.out_version[graph.driver_gate[ni] as usize] != p.version {
+        if p.version != u32::MAX && self.gates[graph.driver_gate[ni] as usize].version != p.version
+        {
             self.stats.stale.inc();
             return;
         }
@@ -717,60 +737,52 @@ impl SimCore {
         // Re-evaluate combinational fan-out; schedule changed outputs.
         for &gi_u in graph.consumers.row(ni) {
             let gi = gi_u as usize;
-            let mut idx = 0usize;
-            for (k, &pn) in graph.pins.row(gi).iter().enumerate() {
-                idx |= usize::from(self.values[pn as usize]) << k;
-            }
-            let out = graph.truth[gi] >> idx & 1 != 0;
-            if out != self.out_sched[gi] {
+            let g = &graph.gates[gi];
+            let out = g.eval(&self.values);
+            if out != self.gates[gi].sched {
                 self.touch_gate(gi);
-                let ord = self.ev_ord[gi];
-                self.ev_ord[gi] = ord + 1;
+                let ord = self.gates[gi].ord;
+                self.gates[gi].ord = ord + 1;
                 self.stats.jitter_scalar.inc();
                 let d = delays.sample_event_ps(GateId(gi_u), self.salt, ord);
-                self.schedule_output(graph, delays, time, gi_u, out, d);
+                self.schedule_output(delays, time, gi_u, g.out, out, d);
             }
         }
     }
 
-    /// Schedule one gate's output change at `time + d` — transport
-    /// ordering, inertial annihilation, version bump and queue push.
+    /// Schedule gate `gi_u`'s output change (on net `out_net`) at
+    /// `time + d` — transport ordering, inertial annihilation, version
+    /// bump and queue push.
     #[inline]
     fn schedule_output(
         &mut self,
-        graph: &SimGraph,
         delays: &DelayModel,
         time: u64,
         gi_u: u32,
+        out_net: u32,
         out: bool,
         d: u64,
     ) {
-        let gi = gi_u as usize;
+        let g = &mut self.gates[gi_u as usize];
         // A single driver's edges stay ordered even under jitter.
-        let t = (time + d).max(self.out_last_time[gi] + 1);
-        let pending = self.out_last_time[gi] > time;
-        let out_net = graph.outputs[gi];
-        if pending
-            && t.saturating_sub(self.out_last_time[gi]) < delays.pulse_reject_of(GateId(gi_u))
-        {
+        let t = (time + d).max(g.last_time + 1);
+        let pending = g.last_time > time;
+        if pending && t.saturating_sub(g.last_time) < delays.pulse_reject_of(GateId(gi_u)) {
             // The in-flight pulse is narrower than the switching
             // time: annihilate it instead of delivering both edges.
             self.stats.annihilations.inc();
-            self.out_version[gi] = self.out_version[gi].wrapping_add(1);
-            self.out_sched[gi] = self.values[out_net as usize];
-            if out == self.out_sched[gi] {
+            g.version = g.version.wrapping_add(1);
+            g.sched = self.values[out_net as usize];
+            if out == g.sched {
                 return;
             }
         }
-        self.out_sched[gi] = out;
-        self.out_last_time[gi] = t;
+        g.sched = out;
+        g.last_time = t;
+        let version = g.version;
         self.seq += 1;
         self.stats.scheduled.inc();
-        self.queue.push(
-            t,
-            self.seq,
-            Pending { net: out_net, value: out, version: self.out_version[gi] },
-        );
+        self.queue.push(t, self.seq, Pending { net: out_net, value: out, version });
     }
 }
 
@@ -1191,7 +1203,7 @@ mod tests {
         let mut r = Report::new();
         sim.obs_report("sim", &mut r);
         assert_eq!(r.get("sim.transitions"), Some(s.transitions.get()));
-        assert!(r.get("sim.wheel.push_drain").is_some() || r.get("sim.wheel.push_ring").is_some());
+        assert!(r.get("sim.wheel.push_ring").is_some());
     }
 
     /// A shared SimGraph behaves identically to a privately built one.

@@ -287,7 +287,7 @@ impl CompiledSchedule {
                 }
                 let k = gate.len() as u32;
                 gate.push(g);
-                net.push(graph.outputs[g as usize]);
+                net.push(graph.gates[g as usize].out);
                 trigger.push(j);
                 time.push(t + delays.base_fixed_of(GateId(g)).max(1));
                 let gm = &mut gmax[g as usize];
@@ -303,7 +303,7 @@ impl CompiledSchedule {
         // pin-order check for them.
         let mono_of: Vec<bool> = (0..graph.num_gates())
             .map(|g| {
-                let row = graph.pins.row(g);
+                let row = graph.gates[g].pins();
                 row.windows(2).all(|w| w[0] == w[1])
             })
             .collect();
@@ -691,12 +691,13 @@ impl SchedRunner {
                 }
 
                 // Lane-parallel truth-table evaluation.
-                let row = graph.pins.row(g);
+                let rec = &graph.gates[g];
+                let row = rec.pins();
                 let mut pv = [0u64; MAX_PINS];
                 for (p, &pn) in row.iter().enumerate() {
                     pv[p] = self.values[pn as usize];
                 }
-                let truth = graph.truth[g];
+                let truth = rec.truth;
                 let mut out = 0u64;
                 for idx in 0..1u16 << row.len() {
                     // Skip zero minterms outright: the truth pattern
